@@ -18,18 +18,16 @@ Two modes are measured:
 * **trajectory-sweep** — ``predict_trajectory`` over a horizon crossing
   the distant-time threshold (the ``/predict_trajectory`` and eval paths).
 
-``--backend kernel`` instead holds PR 9's vectorized score kernel to the
-same contract: a scan-backend model (the PR 4 prepared-plan path, kept as
-the oracle) and a kernel-backend clone sharing the identical fitted state
-answer the same workloads; fingerprints are verified on an untimed pass
-*before* any timing is reported.  Three modes are measured: single-query,
-trajectory-sweep, and a 40-object ``Fleet.predict_all`` with cross-object
-batching.
+``--backend kernel`` holds the vectorized score kernel (the only
+production scorer) to the same ``LegacyPredictor`` reference, adding a
+40-object ``Fleet.predict_all`` mode with cross-object batching (its
+reference is a per-object legacy loop).  Fingerprints are verified on an
+untimed pass *before* any timing is reported.
 
 Run standalone (not under pytest)::
 
-    PYTHONPATH=src python benchmarks/bench_predict.py                    # PR 4 A/B
-    PYTHONPATH=src python benchmarks/bench_predict.py --backend kernel   # PR 9 A/B
+    PYTHONPATH=src python benchmarks/bench_predict.py                    # prepared A/B
+    PYTHONPATH=src python benchmarks/bench_predict.py --backend kernel   # kernel A/B
     PYTHONPATH=src python benchmarks/bench_predict.py --smoke            # CI-sized
 
 Writes ``BENCH_predict.json`` (legacy) or ``BENCH_predict_kernel.json``
@@ -249,9 +247,7 @@ class LegacyPredictor:
 # ----------------------------------------------------------------------
 # workloads
 # ----------------------------------------------------------------------
-def build_model(
-    subtrajectories: int, period: int, query_backend: str = "kernel"
-) -> HybridPredictionModel:
+def build_model(subtrajectories: int, period: int) -> HybridPredictionModel:
     dataset = make_dataset("bike", subtrajectories, period, seed=0)
     config = HPMConfig(
         period=period,
@@ -260,30 +256,10 @@ def build_model(
         min_confidence=0.3,
         distant_threshold=max(2, period // 5),
         recent_window=4,
-        query_backend=query_backend,
     )
     model = HybridPredictionModel(config).fit(dataset.trajectory)
     assert model.predictor_ is not None, "dataset produced no patterns"
     return model
-
-
-def clone_with_config(
-    model: HybridPredictionModel, **overrides
-) -> HybridPredictionModel:
-    """A model sharing ``model``'s fitted state under a tweaked config.
-
-    Mining is backend-independent, so a shared-state clone makes the
-    backend A/B exact by construction: any divergence is the query path's.
-    """
-    clone = HybridPredictionModel(model.config.with_overrides(**overrides))
-    clone._history = model._history
-    clone._regions = model._regions
-    clone._patterns = model._patterns
-    clone._mining_stats = model._mining_stats
-    clone._codec = model._codec
-    clone._tree = model._tree
-    clone._refresh_predictor()
-    return clone
 
 
 def build_windows(
@@ -334,7 +310,7 @@ def build_fleet_windows(
     return windows
 
 
-def run_predict_all(fleet, recents, horizons, repeats: int):
+def run_predict_all(predict_all, recents, horizons, repeats: int):
     """Time ``predict_all`` over a horizon mix; fingerprint the first pass."""
     tc = next(iter(recents.values()))[-1].t
     latencies: list[float] = []
@@ -343,7 +319,7 @@ def run_predict_all(fleet, recents, horizons, repeats: int):
     for r in range(repeats):
         for h in horizons:
             t1 = time.perf_counter()
-            result = fleet.predict_all(recents, tc + h)
+            result = predict_all(recents, tc + h)
             latencies.append(time.perf_counter() - t1)
             if r == 0:
                 chunks.append(sorted(result.items()))
@@ -423,7 +399,7 @@ def main(argv=None) -> int:
         "--backend",
         choices=("legacy", "kernel"),
         default="legacy",
-        help="legacy: PR 4 prepared-plan A/B; kernel: PR 9 score-kernel A/B",
+        help="legacy: prepared-plan A/B; kernel: the same plus predict_all",
     )
     parser.add_argument(
         "--objects",
@@ -458,9 +434,7 @@ def run_legacy_bench(args) -> int:
         f"fitting model ({args.subtrajectories} sub-trajectories x "
         f"T={args.period}) ..."
     )
-    # The PR 4 A/B measures the prepared *scan* path against the pre-PR-4
-    # algorithm, unchanged by the kernel's arrival.
-    model = build_model(args.subtrajectories, args.period, query_backend="scan")
+    model = build_model(args.subtrajectories, args.period)
     legacy = LegacyPredictor(model)
     windows = build_windows(model, args.windows)
     workload = single_query_workload(model, windows)
@@ -542,61 +516,66 @@ def run_kernel_bench(args) -> int:
         f"fitting model ({args.subtrajectories} sub-trajectories x "
         f"T={args.period}) ..."
     )
-    scan_model = build_model(args.subtrajectories, args.period, query_backend="scan")
-    kernel_model = clone_with_config(scan_model, query_backend="kernel")
-    windows = build_windows(scan_model, args.windows)
-    workload = single_query_workload(scan_model, windows)
-    fleet_windows = build_fleet_windows(scan_model, args.objects)
-    d = scan_model.config.distant_threshold
+    model = build_model(args.subtrajectories, args.period)
+    legacy = LegacyPredictor(model)
+    windows = build_windows(model, args.windows)
+    workload = single_query_workload(model, windows)
+    fleet_windows = build_fleet_windows(model, args.objects)
+    d = model.config.distant_threshold
     fleet_horizons = (1, 2, max(1, d - 1), d + 3)
 
-    scan_fleet = FleetPredictionModel(scan_model.config)
-    kernel_fleet = FleetPredictionModel(kernel_model.config)
+    fleet = FleetPredictionModel(model.config)
     for object_id in fleet_windows:
-        scan_fleet.adopt_object(object_id, scan_model)
-        kernel_fleet.adopt_object(object_id, kernel_model)
+        fleet.adopt_object(object_id, model)
+
+    def legacy_predict_all(recents, query_time):
+        # The per-object loop predict_all's batching must reproduce.
+        return {
+            object_id: legacy.predict(recent, query_time, 1)[0]
+            for object_id, recent in recents.items()
+        }
 
     # Verification pass first — untimed, so a mismatch can never hide
     # behind a speedup headline.
-    print("verifying kernel == scan fingerprints (untimed) ...")
+    print("verifying kernel == legacy fingerprints (untimed) ...")
     checks = {}
-    _, _, scan_fp = run_single(scan_model.predict, workload, 1)
-    _, _, kernel_fp = run_single(kernel_model.predict, workload, 1)
-    checks["single_query"] = (scan_fp, kernel_fp)
-    _, _, scan_fp = run_sweeps(
-        scan_model.predict_trajectory, windows, args.sweep_len, 1
+    _, _, legacy_fp = run_single(legacy.predict, workload, 1)
+    _, _, kernel_fp = run_single(model.predict, workload, 1)
+    checks["single_query"] = (legacy_fp, kernel_fp)
+    _, _, legacy_fp = run_sweeps(
+        legacy.predict_trajectory, windows, args.sweep_len, 1
     )
-    _, _, kernel_fp = run_sweeps(
-        kernel_model.predict_trajectory, windows, args.sweep_len, 1
+    _, _, kernel_fp = run_sweeps(model.predict_trajectory, windows, args.sweep_len, 1)
+    checks["trajectory_sweep"] = (legacy_fp, kernel_fp)
+    _, _, legacy_fp = run_predict_all(
+        legacy_predict_all, fleet_windows, fleet_horizons, 1
     )
-    checks["trajectory_sweep"] = (scan_fp, kernel_fp)
-    _, _, scan_fp = run_predict_all(scan_fleet, fleet_windows, fleet_horizons, 1)
     _, _, kernel_fp = run_predict_all(
-        kernel_fleet, fleet_windows, fleet_horizons, 1
+        fleet.predict_all, fleet_windows, fleet_horizons, 1
     )
-    checks["predict_all"] = (scan_fp, kernel_fp)
+    checks["predict_all"] = (legacy_fp, kernel_fp)
     for mode, (want, got) in checks.items():
         if want != got:
             print(
-                f"FAIL: kernel diverged from scan on {mode} "
+                f"FAIL: kernel diverged from legacy on {mode} "
                 f"({got} != {want})",
                 file=sys.stderr,
             )
             return 1
     print("  all modes byte-identical")
 
-    def ab(mode, scan_run, kernel_run, queries):
-        scan_lat, scan_s, _ = scan_run()
+    def ab(legacy_run, kernel_run, queries):
+        legacy_lat, legacy_s, _ = legacy_run()
         kernel_lat, kernel_s, fp = kernel_run()
         result = {
-            "scan": summarize(scan_lat, scan_s, queries),
+            "legacy": summarize(legacy_lat, legacy_s, queries),
             "kernel": summarize(kernel_lat, kernel_s, queries),
-            "speedup": round(scan_s / kernel_s, 2) if kernel_s else 0.0,
+            "speedup": round(legacy_s / kernel_s, 2) if kernel_s else 0.0,
             "identical_predictions": True,
             "fingerprint": fp,
         }
         print(
-            f"  scan {scan_s:.2f}s vs kernel {kernel_s:.2f}s "
+            f"  legacy {legacy_s:.2f}s vs kernel {kernel_s:.2f}s "
             f"-> {result['speedup']}x"
         )
         return result
@@ -609,9 +588,8 @@ def run_kernel_bench(args) -> int:
         "queries": queries,
         "k": SINGLE_K,
         **ab(
-            "single_query",
-            lambda: run_single(scan_model.predict, workload, args.repeats),
-            lambda: run_single(kernel_model.predict, workload, args.repeats),
+            lambda: run_single(legacy.predict, workload, args.repeats),
+            lambda: run_single(model.predict, workload, args.repeats),
             queries,
         ),
     }
@@ -625,15 +603,11 @@ def run_kernel_bench(args) -> int:
         "sweeps": sweeps,
         "steps_per_sweep": args.sweep_len,
         **ab(
-            "trajectory_sweep",
             lambda: run_sweeps(
-                scan_model.predict_trajectory, windows, args.sweep_len, args.repeats
+                legacy.predict_trajectory, windows, args.sweep_len, args.repeats
             ),
             lambda: run_sweeps(
-                kernel_model.predict_trajectory,
-                windows,
-                args.sweep_len,
-                args.repeats,
+                model.predict_trajectory, windows, args.sweep_len, args.repeats
             ),
             sweeps * args.sweep_len,
         ),
@@ -648,12 +622,11 @@ def run_kernel_bench(args) -> int:
         "objects": len(fleet_windows),
         "horizons": list(fleet_horizons),
         **ab(
-            "predict_all",
             lambda: run_predict_all(
-                scan_fleet, fleet_windows, fleet_horizons, args.repeats
+                legacy_predict_all, fleet_windows, fleet_horizons, args.repeats
             ),
             lambda: run_predict_all(
-                kernel_fleet, fleet_windows, fleet_horizons, args.repeats
+                fleet.predict_all, fleet_windows, fleet_horizons, args.repeats
             ),
             calls * len(fleet_windows),
         ),
@@ -666,7 +639,7 @@ def run_kernel_bench(args) -> int:
         "subtrajectories": args.subtrajectories,
         "period": args.period,
         "distant_threshold": d,
-        "num_patterns": len(scan_model.patterns_),
+        "num_patterns": len(model.patterns_),
         "windows": len(windows),
         "single_query": single,
         "trajectory_sweep": sweep,

@@ -20,11 +20,19 @@ Two knobs are reproduction-specific and documented in DESIGN.md:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+
+from .similarity import premise_weights
 
 __all__ = ["HPMConfig"]
 
 _WEIGHT_FUNCTIONS = ("linear", "quadratic", "exponential", "factorial")
+
+# Options removed from HPMConfig that older snapshots still store.
+_RETIRED_KEYS = frozenset(
+    {"query_backend", "velocity_filter", "velocity_bands", "velocity_slack"}
+)
 
 
 @dataclass(frozen=True)
@@ -85,22 +93,6 @@ class HPMConfig:
         Staleness budget: force a full re-mine after this many consecutive
         delta refits (``None`` = never — delta refits are exact, so the
         budget is a belt-and-braces knob, not a correctness requirement).
-    query_backend:
-        Candidate-scoring implementation: ``"kernel"`` (default) scores
-        whole consequence buckets with the packed numpy kernel
-        (:mod:`repro.core.scorekernel`, bit-identical answers),
-        ``"scan"`` keeps the per-candidate Python loop as the oracle.
-    velocity_filter:
-        Opt-in velocity-partitioned candidate pruning (kernel backend
-        only): candidates whose minimum realizable speed exceeds the
-        query object's speed band are masked out before scoring.  A
-        heuristic — it may drop answers the exact path would return — so
-        it defaults to off and is ignored by the scan oracle.
-    velocity_bands:
-        Number of quantile speed bands for the velocity filter.
-    velocity_slack:
-        Multiplier on the admitted band edge (>1 keeps a safety margin of
-        faster candidates).
     """
 
     period: int = 300
@@ -121,10 +113,6 @@ class HPMConfig:
     tree_min_entries: int | None = None
     refit_mode: str = "delta"
     refit_full_every: int | None = None
-    query_backend: str = "kernel"
-    velocity_filter: bool = False
-    velocity_bands: int = 4
-    velocity_slack: float = 2.0
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -159,6 +147,7 @@ class HPMConfig:
             raise ValueError(
                 f"max_premise_length must be >= 1, got {self.max_premise_length}"
             )
+        self._check_premise_weights()
         if self.max_premise_span < 1:
             raise ValueError(
                 f"max_premise_span must be >= 1, got {self.max_premise_span}"
@@ -182,18 +171,34 @@ class HPMConfig:
             raise ValueError(
                 f"refit_full_every must be >= 1 or None, got {self.refit_full_every}"
             )
-        if self.query_backend not in ("kernel", "scan"):
+
+    def _check_premise_weights(self) -> None:
+        # Candidate filtering (FQP's ``S_r > 0``) relies on every premise
+        # weight being finite and strictly positive.  The longest premise
+        # has the largest normaliser, so checking it covers all shorter
+        # ones; steep families overflow (raise) or round to 0.0 first.
+        try:
+            weights = premise_weights(self.max_premise_length, self.weight_function)
+            usable = all(math.isfinite(w) and w > 0.0 for w in weights)
+        except OverflowError:
+            usable = False
+        if not usable:
             raise ValueError(
-                f"query_backend must be 'kernel' or 'scan', got {self.query_backend!r}"
+                f"{self.weight_function!r} premise weights over "
+                f"max_premise_length={self.max_premise_length} are not all "
+                "finite and positive; use a shorter premise or a flatter "
+                "weight function"
             )
-        if self.velocity_bands < 2:
-            raise ValueError(
-                f"velocity_bands must be >= 2, got {self.velocity_bands}"
-            )
-        if not self.velocity_slack > 0:
-            raise ValueError(
-                f"velocity_slack must be positive, got {self.velocity_slack}"
-            )
+
+    @classmethod
+    def from_dict(cls, stored: dict) -> "HPMConfig":
+        """Rebuild a config stored by ``dataclasses.asdict`` in a snapshot.
+
+        Snapshots written before the scan backend and the velocity filter
+        were removed carry their four option keys; they are dropped here so
+        those snapshots keep loading.  Any other unknown key still raises.
+        """
+        return cls(**{k: v for k, v in stored.items() if k not in _RETIRED_KEYS})
 
     @property
     def effective_min_support(self) -> int:

@@ -436,12 +436,11 @@ class FleetPredictionModel:
         and model-level metrics are not incremented by the worker-side
         copies.  Results are identical to serial scoring in every mode.
 
-        On the kernel query backend the serial path batches all objects'
-        FQP lookups into one kernel invocation (see
-        :mod:`repro.core.scorekernel`): plans are built per object under
-        that object's lock, scored together against immutable pack
-        snapshots, then answered under the locks again — same answers,
-        one array pass instead of ``n`` scoring loops.
+        The serial path batches all objects' FQP lookups into one kernel
+        invocation (see :mod:`repro.core.scorekernel`): plans are built
+        per object under that object's lock, scored together against
+        immutable pack snapshots, then answered under the locks again —
+        same answers, one array pass instead of ``n`` scoring loops.
         """
         items = list(recents.items())
         serial = (
@@ -451,7 +450,7 @@ class FleetPredictionModel:
             or len(items) <= 1
         )
         if serial:
-            if len(items) > 1 and self.config.query_backend == "kernel":
+            if len(items) > 1:
                 return self._predict_all_batched(items, query_time)
             out: dict[str, Prediction] = {}
             for object_id, recent in items:

@@ -132,7 +132,7 @@ def load_model(path: str | Path) -> HybridPredictionModel:
             raise ValueError(
                 f"{path}: unsupported model format {meta.get('format_version')}"
             )
-        config = HPMConfig(**meta["config"])
+        config = HPMConfig.from_dict(meta["config"])
         history = Trajectory(
             archive["history"], start_time=int(meta["history_start_time"])
         )
@@ -334,7 +334,7 @@ def load_fleet(
             for object_id, filename in objects.items()
             if object_id in wanted
         }
-    fleet = FleetPredictionModel(HPMConfig(**manifest["config"]))
+    fleet = FleetPredictionModel(HPMConfig.from_dict(manifest["config"]))
     jobs = [
         (object_id, (directory / filename,))
         for object_id, filename in objects.items()

@@ -14,30 +14,23 @@ length and the serve batcher by the batch size.
   lazily, at most once per plan;
 * FQP candidate scoring is memoised per query offset ``tq mod T`` — a
   trajectory sweep revisits at most ``T`` distinct offsets;
-* top-k selection uses ``heapq.nsmallest`` over the scored candidates
-  instead of a full sort.
+* candidates are scored and ranked by the packed numpy kernel
+  (:mod:`repro.core.scorekernel`), whole consequence buckets at a time,
+  with an ``argpartition`` top-k instead of a full sort.
 
-Every answer is **byte-identical** to the unprepared path: similarity
-floats are accumulated in the same order (see
-:class:`repro.core.similarity.PremiseScorer`), ``heapq.nsmallest`` is
-documented equivalent to ``sorted(...)[:k]`` (stable for equal keys), and
-the fallback chain degrades exactly like the original
-``_motion_prediction`` (primary function, then linear, then stationary).
-
-Candidate scoring itself runs on one of two backends
-(``HPMConfig.query_backend``): the packed numpy kernel
-(:mod:`repro.core.scorekernel`, default) or the per-candidate ``"scan"``
-loop kept as the oracle.  The kernel reproduces the scan path's floats
-bit for bit (see the scorekernel module docstring); a plan silently
-demotes itself to the scan backend when the kernel is unavailable or
-raises, counting the demotion in ``kernel_fallbacks`` and the
-``predict_kernel_fallback_total`` metric.
+Every answer is **byte-identical** to the unprepared per-candidate
+algorithm (tree descent, uncached Eq. 1, full sort + slice): the kernel
+accumulates similarity floats in the same order and reproduces the sort's
+tie order (see the scorekernel module docstring), and the fallback chain
+degrades exactly like the original ``_motion_prediction`` (primary
+function, then linear, then stationary).  That per-candidate algorithm is
+kept only as the test suite's reference; a kernel error propagates to the
+caller instead of being answered by another path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import nsmallest
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,9 +48,7 @@ from .scorekernel import (
     finalize_forward,
     premise_scores,
     prime_plan_queries,
-    window_speed,
 )
-from .similarity import PremiseScorer
 from .tpt import TrajectoryPatternTree
 
 __all__ = ["Prediction", "PreparedQuery", "map_window_to_regions"]
@@ -99,14 +90,6 @@ def map_window_to_regions(
     return seen
 
 
-def _rank_key(scored: tuple[float, TrajectoryPattern]) -> tuple[float, float, int]:
-    # Same ordering as the original ``sort + [:k]``: score desc, then
-    # confidence desc, then support desc; ``nsmallest`` is stable, so full
-    # ties keep candidate (tree) order exactly like ``list.sort`` did.
-    score, pattern = scored
-    return (-score, -pattern.confidence, -pattern.support)
-
-
 _UNSET = object()
 
 
@@ -128,7 +111,6 @@ class PreparedQuery:
         motion_factory: MotionFunctionFactory,
         recent: Sequence[TimedPoint],
         stats: dict | None = None,
-        scorer: PremiseScorer | None = None,
         metrics=None,
     ):
         recent = list(recent)
@@ -144,9 +126,6 @@ class PreparedQuery:
         self._regions = regions
         self._codec = codec
         self._tree = tree
-        self._scorer = (
-            scorer if scorer is not None else PremiseScorer(config.weight_function)
-        )
         self._window = recent[-config.recent_window :]
         if regions is not None and codec is not None:
             self.recent_regions = map_window_to_regions(
@@ -156,37 +135,25 @@ class PreparedQuery:
         else:
             self.recent_regions = []
             self.premise_key = 0
-        # offset -> scan scored-candidate list, kernel KernelHits, or None
-        # when no candidate — FQP work is per-offset, so a sweep computes
-        # each at most once.  Explicitly bounded to ``period`` entries
-        # (offsets live in [0, T), but a hostile query stream must not be
-        # able to grow a plan without bound either way).
-        self._fqp_scored: dict[int, object] = {}
+        # offset -> KernelHits, or None when no candidate — FQP work is
+        # per-offset, so a sweep computes each at most once.  Explicitly
+        # bounded to ``period`` entries (offsets live in [0, T), but a
+        # hostile query stream must not be able to grow a plan without
+        # bound either way).
+        self._fqp_scored: dict[int, KernelHits | None] = {}
         self._motion_primary: MotionFunction | None | object = _UNSET
         self._motion_linear: MotionFunction | None | object = _UNSET
         self._metrics = metrics
-        self.kernel_fallbacks = 0
-        self._backend = "scan"
         self._kernel = None
         self._qvec: np.ndarray | None = None
-        self._velocity_cap: float | None = None
-        if tree is not None and config.query_backend == "kernel":
-            kernel = tree.score_kernel(self._scorer.kind)
-            if kernel is None or kernel.premise_length != codec.premise_length:
-                self._count_fallback()
-            else:
-                self._backend = "kernel"
-                self._kernel = kernel
-                qvec = np.zeros(codec.premise_length, dtype=np.float64)
-                for bit in iter_set_bits(self.premise_key):
-                    qvec[bit] = 1.0
-                self._qvec = qvec
-                if config.velocity_filter:
-                    self._velocity_cap = kernel.velocity_cap(
-                        window_speed(self._window),
-                        config.velocity_slack,
-                        config.velocity_bands,
-                    )
+        if tree is not None:
+            # ``codec`` is the tree's own codec (the model installs them
+            # together), so the kernel shares its premise width.
+            self._kernel = tree.score_kernel(config.weight_function)
+            qvec = np.zeros(codec.premise_length, dtype=np.float64)
+            for bit in iter_set_bits(self.premise_key):
+                qvec[bit] = 1.0
+            self._qvec = qvec
 
     # ------------------------------------------------------------------
     # public API (mirrors HybridPredictor's validation order exactly)
@@ -234,10 +201,6 @@ class PreparedQuery:
         if entry is None:
             return [self.motion_prediction(query_time)]
         self.stats["fqp"] += 1
-        if isinstance(entry, KernelHits):
-            top = entry.top(k)
-        else:
-            top = nsmallest(k, entry, key=_rank_key)
         return [
             Prediction(
                 location=pattern.consequence.center,
@@ -245,87 +208,39 @@ class PreparedQuery:
                 score=score,
                 pattern=pattern,
             )
-            for score, pattern in top
+            for score, pattern in entry.top(k)
         ]
 
-    def _forward_entry(self, offset: int):
-        """Memoised per-offset FQP scoring on the active backend.
-
-        Entries are scan scored-candidate lists or kernel
-        :class:`KernelHits`; the memo holds both shapes so a mid-plan
-        demotion keeps earlier kernel entries valid (their floats are
-        bit-identical anyway)."""
+    def _forward_entry(self, offset: int) -> KernelHits | None:
+        """Memoised per-offset FQP scoring."""
         try:
             return self._fqp_scored[offset]
         except KeyError:
             pass
-        if self._backend == "kernel":
-            try:
-                entry = self._forward_kernel(offset)
-            except Exception:
-                self._demote_kernel()
-                entry = self._forward_scan(offset)
-        else:
-            entry = self._forward_scan(offset)
+        entry = None
+        # Empty premise or unknown offset: no candidate can intersect
+        # (Intersect needs common '1's on both key parts).
+        if self.premise_key != 0:
+            pack = self._kernel.block_for_offset(offset)
+            if pack is not None:
+                entry = finalize_forward(pack, premise_scores(pack, self._qvec))
         self._store_forward(offset, entry)
         return entry
 
-    def _forward_scan(
-        self, offset: int
-    ) -> list[tuple[float, TrajectoryPattern]] | None:
-        query_key = self._codec.encode_query(self.recent_regions, offset)
-        candidates = self._tree.search_candidates(query_key)
-        if not candidates:
-            return None
-        rkq = self.premise_key
-        score = self._scorer.score
-        # Eq. 2 inline: S_p = S_r * c (same operands, same order as
-        # fqp_score on already-validated unit values).
-        return [
-            (score(key.premise_key, rkq) * pattern.confidence, pattern)
-            for pattern, key in candidates
-        ]
-
-    def _forward_kernel(self, offset: int) -> KernelHits | None:
-        # Empty premise or unknown offset: search_candidates would return
-        # nothing (Intersect needs common '1's on both parts).
-        if self.premise_key == 0:
-            return None
-        pack = self._kernel.block_for_offset(offset)
-        if pack is None:
-            return None
-        return finalize_forward(
-            pack, premise_scores(pack, self._qvec), self._velocity_cap
-        )
-
-    def _store_forward(self, offset: int, entry) -> None:
+    def _store_forward(self, offset: int, entry: KernelHits | None) -> None:
         memo = self._fqp_scored
         if offset not in memo and len(memo) >= self.config.period:
             memo.pop(next(iter(memo)))
         memo[offset] = entry
-
-    def _demote_kernel(self) -> None:
-        """Fall back to the scan backend for the rest of this plan's life."""
-        self._backend = "scan"
-        self._kernel = None
-        self._count_fallback()
-
-    def _count_fallback(self) -> None:
-        self.kernel_fallbacks += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "predict_kernel_fallback_total",
-                help="Prepared plans demoted from the kernel to the scan backend",
-            ).inc()
 
     # ------------------------------------------------------------------
     # cross-query batching hooks (see scorekernel.prime_plan_queries)
     # ------------------------------------------------------------------
     def fqp_prime_offset(self, query_time: int) -> int | None:
         """The offset to pre-score for ``query_time``, or ``None`` when the
-        query would not take the kernel FQP path (wrong backend, BQP
-        horizon, empty premise, or already memoised)."""
-        if self._backend != "kernel" or self._tree is None:
+        query would not take the FQP path (no pattern index, BQP horizon,
+        empty premise, or already memoised)."""
+        if self._tree is None:
             return None
         tc = self.current_time
         if not tc < query_time < tc + self.config.distant_threshold:
@@ -337,9 +252,7 @@ class PreparedQuery:
 
     def prime_sweep(self, t_from: int, t_to: int, step: int = 1) -> int:
         """Pre-score every FQP offset a trajectory sweep will visit in one
-        kernel invocation.  A no-op on the scan backend."""
-        if self._backend != "kernel":
-            return 0
+        kernel invocation."""
         tc = self.current_time
         lo = max(t_from, tc + 1)
         hi = min(t_to, tc + self.config.distant_threshold - 1)
@@ -359,21 +272,12 @@ class PreparedQuery:
 
         The consequence mask grows monotonically with the interval, so each
         enlargement round only encodes the two *new* edge sub-ranges; once
-        the interval covers a full period the mask saturates.  Candidate
-        retrieval probes the tree's consequence-offset index (scan) or the
-        kernel's merged bucket view instead of a fresh descent per round;
-        both backends share the enlargement generator so their round
-        structure cannot diverge.
+        the interval covers a full period the mask saturates.  Candidates
+        come from the kernel's merged bucket view of the mask instead of a
+        fresh tree descent per round.
         """
         for relaxation, mask in self._bqp_enlargements(query_time):
-            if self._backend == "kernel":
-                try:
-                    top = self._backward_kernel(mask, relaxation, query_time, k)
-                except Exception:
-                    self._demote_kernel()
-                    top = self._backward_scan(mask, relaxation, query_time, k)
-            else:
-                top = self._backward_scan(mask, relaxation, query_time, k)
+            top = self._backward_kernel(mask, relaxation, query_time, k)
             if top is not None:
                 self.stats["bqp"] += 1
                 return [
@@ -425,67 +329,26 @@ class PreparedQuery:
             if query_time - i * t_eps <= tc:
                 return
 
-    def _backward_scan(
-        self, mask: int, relaxation: int, query_time: int, k: int
-    ) -> list[tuple[float, TrajectoryPattern]] | None:
-        candidates = self._tree.search_by_consequence(mask) if mask else []
-        if not candidates:
-            return None
-        cfg = self.config
-        period = cfg.period
-        horizon = query_time - self.current_time
-        # Eq. 5 inline: S_p = (S_r * min(1, d/(tq-tc)) + S_c) * c,
-        # with S_c per Eq. 3 — identical operand order to
-        # bqp_score/consequence_similarity.
-        penalty = min(1.0, cfg.distant_threshold / horizon)
-        denominator = relaxation + 1
-        query_offset = query_time % period
-        rkq = self.premise_key
-        score = self._scorer.score
-        scored = []
-        for pattern, key in candidates:
-            sr = score(key.premise_key, rkq)
-            diff = abs(pattern.consequence_offset - query_offset) % period
-            sc = max(0.0, 1.0 - min(diff, period - diff) / denominator)
-            scored.append(((sr * penalty + sc) * pattern.confidence, pattern))
-        return nsmallest(k, scored, key=_rank_key)
-
     def _backward_kernel(
         self, mask: int, relaxation: int, query_time: int, k: int
     ) -> list[tuple[float, TrajectoryPattern]] | None:
-        """Vectorized Eq. 5 over the merged bucket view — the same
-        elementwise operations in the same order as the scan loop, so each
-        candidate's score is bit-identical."""
+        """Vectorized Eq. 5 over the merged bucket view: S_p =
+        (S_r * min(1, d/(tq-tc)) + S_c) * c with S_c per Eq. 3, the same
+        elementwise operations in the same order as ``bqp_score``."""
         pack = self._kernel.merged(mask) if mask else None
         if pack is None:
             return None
-        cap = self._velocity_cap
-        rows = None
-        if cap is not None:
-            rows = np.flatnonzero(pack.velocity_rows(cap))
-            if rows.size == 0:
-                return None
-            if rows.size == pack.n:
-                rows = None
-        sr = premise_scores(pack, self._qvec)
-        confidences = pack.confidences
-        supports = pack.supports
-        cons_offsets = pack.cons_offsets
-        if rows is not None:
-            sr = sr[rows]
-            confidences = confidences[rows]
-            supports = supports[rows]
-            cons_offsets = cons_offsets[rows]
         cfg = self.config
         period = cfg.period
         horizon = query_time - self.current_time
         penalty = min(1.0, cfg.distant_threshold / horizon)
         denominator = relaxation + 1
         query_offset = query_time % period
-        diff = np.abs(cons_offsets - query_offset) % period
+        diff = np.abs(pack.cons_offsets - query_offset) % period
         sc = np.maximum(0.0, 1.0 - np.minimum(diff, period - diff) / denominator)
-        scores = (sr * penalty + sc) * confidences
-        return KernelHits(scores, confidences, supports, rows, pack).top(k)
+        sr = premise_scores(pack, self._qvec)
+        scores = (sr * penalty + sc) * pack.confidences
+        return KernelHits(scores, pack.confidences, pack.supports, None, pack).top(k)
 
     # ------------------------------------------------------------------
     # motion fallback (fit-once, same degradation chain as before)

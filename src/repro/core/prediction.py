@@ -33,7 +33,6 @@ from .config import HPMConfig
 from .keys import KeyCodec
 from .plan import Prediction, PreparedQuery, map_window_to_regions
 from .regions import FrequentRegion, RegionSet
-from .similarity import PremiseScorer
 from .tpt import TrajectoryPatternTree
 
 __all__ = ["Prediction", "HybridPredictor", "PreparedQuery", "default_motion_factory"]
@@ -65,15 +64,12 @@ class HybridPredictor:
         self.tree = tree
         self.config = config
         self.motion_factory = motion_factory
-        # Serve-tier metrics registry (kernel fallback counter, batch-size
-        # histogram); optional and threaded into every prepared plan.
+        # Serve-tier metrics registry (the kernel batch-size histogram);
+        # optional and threaded into every prepared plan.
         self.metrics = metrics
         # Diagnostics: how many queries each path answered (Fig. 10's cost
         # analysis hinges on the motion-fallback rate).
         self.stats = {"fqp": 0, "bqp": 0, "motion": 0}
-        # Weight tables are per (premise key, weight family) and shared by
-        # every plan this predictor prepares.
-        self._scorer = PremiseScorer(config.weight_function)
 
     def __getstate__(self) -> dict:
         # Registries hold threading locks and are process-local (same
@@ -92,8 +88,8 @@ class HybridPredictor:
     def prepare(self, recent: Sequence[TimedPoint]) -> PreparedQuery:
         """Build a query plan for ``recent``, reusable across query times.
 
-        The plan shares this predictor's :attr:`stats` and similarity
-        tables; its answers are identical to :meth:`predict`'s.
+        The plan shares this predictor's :attr:`stats`; its answers are
+        identical to :meth:`predict`'s.
         """
         return PreparedQuery(
             regions=self.regions,
@@ -103,7 +99,6 @@ class HybridPredictor:
             motion_factory=self.motion_factory,
             recent=recent,
             stats=self.stats,
-            scorer=self._scorer,
             metrics=self.metrics,
         )
 

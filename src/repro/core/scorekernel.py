@@ -1,12 +1,11 @@
 """Vectorized query scoring kernel over packed TPT candidate buckets.
 
-PR 5 vectorized the *fit* pipeline; this module is the query-side
-counterpart.  ``PreparedQuery`` answers FQP/BQP queries by scoring every
-candidate in a consequence-offset bucket with a Python loop over
-:meth:`repro.core.similarity.PremiseScorer.score`.  The kernel packs each
-bucket once into numpy arrays so a query scores all candidates in a
-handful of array operations — and the scan loop is kept as the
-``backend="scan"`` oracle, mirroring the fit pipeline's Apriori treatment.
+This is the only candidate scorer on the query path: ``PreparedQuery``
+answers every FQP/BQP query (Algorithms 2-3, Eq. 2 and Eq. 5) by scoring
+whole consequence-offset buckets with it.  Each bucket is packed once
+into numpy arrays, so a query scores all of its candidates in a handful
+of array operations.  The per-candidate reference it is held to (tree
+descent, uncached Eq. 1, full sort) lives in the test suite.
 
 Packed layout (one :class:`CandidatePack` per consequence time-id)
 ------------------------------------------------------------------
@@ -18,6 +17,10 @@ candidate row stores its scorer table *sparsely*:
   ``r`` (ascending bit order, exactly ``PremiseScorer.table``); padding
   columns point at bit 0.
 * ``bit_weights[r, j]`` — the matching weight; padding columns carry 0.0.
+
+A row is therefore at most ``max_premise_length`` cells of 16 bytes, a
+bounded fraction of the pattern object it indexes, so packing needs no
+size cap of its own.
 
 With ``qvec`` the query's 0/1 premise-bit vector, the premise similarity
 of every row is::
@@ -34,30 +37,17 @@ the additions.)
 
 Candidate-set identity
 ----------------------
-Weights are strictly positive, so a row's premise score is ``> 0`` iff the
-query premise key overlaps the candidate's — exactly the filter
+Weights are strictly positive (``HPMConfig`` rejects weight families that
+overflow at ``max_premise_length``), so a row's premise score is ``> 0``
+iff the query premise key overlaps the candidate's — exactly the filter
 ``search_candidates`` applies for FQP.  BQP applies no premise filter, and
 neither does the kernel's backward path.  Top-k uses ``argpartition`` plus
 a stable ``lexsort`` on (score desc, confidence desc, support desc), which
 reproduces ``heapq.nsmallest``'s ordering including tie stability.
-
-Velocity partitioning (opt-in)
-------------------------------
-Following "Boosting Moving Object Indexing through Velocity Partitioning"
-(PAPERS.md), each candidate carries the minimum average speed an object
-must sustain to travel from its last premise region to its consequence
-region in the pattern's time gap.  Candidates are bucketed into speed
-bands (quantiles of that minimum speed); a query object whose
-recent-window speed falls in a lower band cannot plausibly realize the
-faster patterns, so their rows are masked out before scoring.  This is a
-**pruning heuristic**, not an exact transform — it is gated behind
-``HPMConfig.velocity_filter`` (default off) and ignored by the scan
-oracle; all byte-identity guarantees are stated for the filter disabled.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,15 +59,12 @@ __all__ = [
     "KERNEL_BATCH_BUCKETS",
     "CandidatePack",
     "KernelHits",
-    "KernelUnavailable",
     "ScoreKernel",
     "finalize_forward",
     "pack_premise_tables",
     "premise_scores",
     "prime_plan_queries",
     "top_indices",
-    "window_speed",
-    "pattern_min_speed",
 ]
 
 # Histogram buckets for predict_kernel_batch_size: the registry ignores
@@ -85,25 +72,16 @@ __all__ = [
 # same constant.
 KERNEL_BATCH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-# Packing is refused beyond this many (row, column) cells; the plan then
-# falls back to the scan backend instead of ballooning resident memory.
-_MAX_CELLS = 1 << 25
-
 # Merged multi-bucket views are memoised per consequence mask (BQP
 # enlargement revisits the same masks across queries); FIFO-bounded.
 _MERGED_CACHE_SIZE = 512
 
 
-class KernelUnavailable(Exception):
-    """The pattern corpus cannot be packed (size cap, exotic payloads,
-    or weight overflow); callers fall back to the scan backend."""
-
-
 class CandidatePack:
     """One consequence bucket (or merged view) in packed array form.
 
-    Rows follow the bucket's DFS ``seq`` order — the order the scan path
-    scores candidates in — so stable top-k selection ties break
+    Rows follow the bucket's DFS ``seq`` order — the order the tree
+    search returns candidates in — so stable top-k selection ties break
     identically.
     """
 
@@ -114,9 +92,7 @@ class CandidatePack:
         "confidences",
         "supports",
         "cons_offsets",
-        "min_speeds",
         "patterns",
-        "_velocity_rows",
     )
 
     def __init__(
@@ -127,7 +103,6 @@ class CandidatePack:
         confidences: np.ndarray,
         supports: np.ndarray,
         cons_offsets: np.ndarray,
-        min_speeds: np.ndarray,
         patterns: list,
     ):
         self.seqs = seqs
@@ -136,9 +111,7 @@ class CandidatePack:
         self.confidences = confidences
         self.supports = supports
         self.cons_offsets = cons_offsets
-        self.min_speeds = min_speeds
         self.patterns = patterns
-        self._velocity_rows: dict[float, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -147,16 +120,6 @@ class CandidatePack:
     @property
     def width(self) -> int:
         return self.bit_cols.shape[1]
-
-    def velocity_rows(self, cap: float) -> np.ndarray:
-        """Boolean row mask ``min_speeds <= cap`` (memoised per cap)."""
-        mask = self._velocity_rows.get(cap)
-        if mask is None:
-            mask = self.min_speeds <= cap
-            if len(self._velocity_rows) >= 64:
-                self._velocity_rows.pop(next(iter(self._velocity_rows)))
-            self._velocity_rows[cap] = mask
-        return mask
 
 
 def pack_premise_tables(
@@ -195,7 +158,7 @@ def premise_scores(pack: CandidatePack, qvec: np.ndarray) -> np.ndarray:
 def top_indices(
     scores: np.ndarray, confidences: np.ndarray, supports: np.ndarray, k: int
 ) -> np.ndarray:
-    """Indices of the top-k rows under the scan path's ranking.
+    """Indices of the top-k rows under the paper's ranking.
 
     Order: score desc, confidence desc, support desc, then original row
     order for full ties — the ordering ``nsmallest(k, ..., key=_rank_key)``
@@ -219,7 +182,7 @@ def top_indices(
 class KernelHits:
     """A scored candidate set awaiting top-k extraction.
 
-    ``rows`` maps the (possibly filtered) score rows back into the pack's
+    ``rows`` maps the (FQP-filtered) score rows back into the pack's
     pattern list; ``None`` means all pack rows survived.
     """
 
@@ -242,19 +205,15 @@ class KernelHits:
         return [(float(self.scores[j]), patterns[int(rows[j])]) for j in idx]
 
 
-def finalize_forward(
-    pack: CandidatePack, sr: np.ndarray, velocity_cap: float | None
-) -> KernelHits | None:
+def finalize_forward(pack: CandidatePack, sr: np.ndarray) -> KernelHits | None:
     """FQP post-processing: keep overlapping rows, apply Eq. 2.
 
     ``sr > 0`` is exactly the ``premise_bits & q_rk`` filter of
     ``search_candidates`` (weights are strictly positive).  Returns
-    ``None`` when no candidate survives — the scan path's "no
-    candidates" answer.
+    ``None`` when no candidate survives — Algorithm 2's "no candidates"
+    case, answered by the motion function.
     """
     keep = sr > 0.0
-    if velocity_cap is not None:
-        keep &= pack.velocity_rows(velocity_cap)
     rows = np.flatnonzero(keep)
     if rows.size == 0:
         return None
@@ -267,35 +226,6 @@ def finalize_forward(
     return KernelHits(
         sr * confidences, confidences, pack.supports[rows], rows, pack
     )
-
-
-def pattern_min_speed(pattern) -> float:
-    """Minimum average speed to realize ``pattern``: distance from the last
-    premise region's center to the consequence center over the offset gap."""
-    last = pattern.premise[-1]
-    gap = pattern.consequence.offset - last.offset
-    if gap <= 0:
-        return 0.0
-    c, p = pattern.consequence.center, last.center
-    return math.hypot(c.x - p.x, c.y - p.y) / gap
-
-
-def window_speed(window: Sequence) -> float:
-    """Fastest per-step speed observed over a recent-movement window."""
-    best = 0.0
-    prev = None
-    for sample in window:
-        if prev is not None:
-            dt = sample.t - prev.t
-            if dt > 0:
-                point, prev_point = sample.point, prev.point
-                speed = (
-                    math.hypot(point.x - prev_point.x, point.y - prev_point.y) / dt
-                )
-                if speed > best:
-                    best = speed
-        prev = sample
-    return best
 
 
 def _pack_bucket(bucket: list, scorer: PremiseScorer) -> CandidatePack:
@@ -312,7 +242,6 @@ def _pack_bucket(bucket: list, scorer: PremiseScorer) -> CandidatePack:
         cons_offsets=np.array(
             [p.consequence_offset for p in patterns], dtype=np.int64
         ),
-        min_speeds=np.array([pattern_min_speed(p) for p in patterns]),
         patterns=patterns,
     )
 
@@ -339,7 +268,6 @@ def _merge_packs(blocks: list[CandidatePack]) -> CandidatePack:
         confidences=np.concatenate([b.confidences for b in blocks])[first],
         supports=np.concatenate([b.supports for b in blocks])[first],
         cons_offsets=np.concatenate([b.cons_offsets for b in blocks])[first],
-        min_speeds=np.concatenate([b.min_speeds for b in blocks])[first],
         patterns=[all_patterns[i] for i in first],
     )
 
@@ -367,30 +295,16 @@ class ScoreKernel:
         self._blocks = blocks
         self._offset_time_ids = offset_time_ids
         self._merged: dict[int, CandidatePack | None] = {}
-        self._band_edges: dict[int, np.ndarray | None] = {}
 
     @classmethod
     def build(cls, tree, kind: str) -> "ScoreKernel":
-        """Pack every consequence bucket of ``tree``.
-
-        Raises :class:`KernelUnavailable` when the corpus exceeds the
-        packing cap, a payload is not a trajectory pattern, or the weight
-        family overflows (the scan path then raises the same overflow at
-        query time, preserving behavior).
-        """
+        """Pack every consequence bucket of ``tree``."""
         codec = tree.codec
         scorer = PremiseScorer(kind)
-        blocks: dict[int, CandidatePack] = {}
-        cells = 0
-        try:
-            for time_id, bucket in tree.consequence_index().items():
-                pack = _pack_bucket(bucket, scorer)
-                cells += pack.n * pack.width
-                if cells > _MAX_CELLS:
-                    raise KernelUnavailable(f"pattern corpus too large ({cells} cells)")
-                blocks[time_id] = pack
-        except (OverflowError, AttributeError, TypeError) as exc:
-            raise KernelUnavailable(str(exc)) from exc
+        blocks = {
+            time_id: _pack_bucket(bucket, scorer)
+            for time_id, bucket in tree.consequence_index().items()
+        }
         offset_time_ids = {
             offset: time_id
             for time_id, offset in enumerate(codec.consequence_offsets())
@@ -437,41 +351,6 @@ class ScoreKernel:
         self._merged[mask] = pack
         return pack
 
-    # ------------------------------------------------------------------
-    # velocity partitioning
-    # ------------------------------------------------------------------
-    def band_edges(self, bands: int) -> np.ndarray | None:
-        """Quantile speed-band edges over all candidates (memoised)."""
-        edges = self._band_edges.get(bands)
-        if edges is None and bands not in self._band_edges:
-            if bands < 2 or not self._blocks:
-                edges = None
-            else:
-                speeds = np.concatenate(
-                    [b.min_speeds for b in self._blocks.values()]
-                )
-                if speeds.size == 0:
-                    edges = None
-                else:
-                    edges = np.quantile(
-                        speeds, [i / bands for i in range(1, bands)]
-                    )
-            self._band_edges[bands] = edges
-        return edges
-
-    def velocity_cap(
-        self, speed: float, slack: float, bands: int
-    ) -> float | None:
-        """Max candidate ``min_speed`` admitted for an object moving at
-        ``speed``; ``None`` (no pruning) for the unbounded top band."""
-        edges = self.band_edges(bands)
-        if edges is None:
-            return None
-        band = int(np.searchsorted(edges, speed, side="right"))
-        if band >= edges.size:
-            return None
-        return float(edges[band]) * slack
-
 
 # ----------------------------------------------------------------------
 # cross-plan batching
@@ -481,8 +360,8 @@ def prime_plan_queries(
 ) -> int:
     """Score many (plan, query_time) FQP lookups in one kernel invocation.
 
-    Plans whose query would not take the kernel FQP path (scan backend,
-    BQP horizon, empty premise, already memoised) are skipped; the rest
+    Plans whose query would not take the FQP path (no pattern index, BQP
+    horizon, empty premise, already memoised) are skipped; the rest
     have their per-offset entry computed from one stacked array pass and
     stored in the plan memo, so the subsequent ``predict`` calls are pure
     memo hits.  Identity with per-plan scoring: each plan's query vector
@@ -490,8 +369,7 @@ def prime_plan_queries(
     trailing padding columns contribute exact ``+ 0.0`` terms (see module
     docstring).
 
-    Returns the number of entries primed; failures leave the plans
-    unprimed (the per-plan path recomputes and, if needed, demotes).
+    Returns the number of entries primed.  Scoring errors propagate.
     """
     tasks: list[tuple[object, int, CandidatePack]] = []
     seen: set[tuple[int, int]] = set()
@@ -510,17 +388,13 @@ def prime_plan_queries(
         tasks.append((plan, offset, pack))
     if not tasks:
         return 0
-    try:
-        if len(tasks) == 1:
-            plan, offset, pack = tasks[0]
-            sr = premise_scores(pack, plan._qvec)
-            plan._store_forward(
-                offset, finalize_forward(pack, sr, plan._velocity_cap)
-            )
-        else:
-            _prime_batched(tasks)
-    except Exception:
-        return 0
+    if len(tasks) == 1:
+        plan, offset, pack = tasks[0]
+        plan._store_forward(
+            offset, finalize_forward(pack, premise_scores(pack, plan._qvec))
+        )
+    else:
+        _prime_batched(tasks)
     if metrics is not None:
         metrics.histogram(
             "predict_kernel_batch_size",
@@ -554,6 +428,4 @@ def _prime_batched(tasks: list[tuple[object, int, CandidatePack]]) -> None:
         r += n
     sr_all = (weights * q_all[cols]).cumsum(axis=1)[:, -1]
     for plan, offset, pack, a, b in spans:
-        plan._store_forward(
-            offset, finalize_forward(pack, sr_all[a:b], plan._velocity_cap)
-        )
+        plan._store_forward(offset, finalize_forward(pack, sr_all[a:b]))

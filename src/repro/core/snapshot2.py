@@ -34,10 +34,14 @@ manifest carrying a per-object ``[start, end)`` index into every block:
     kernel_buckets            (B, 3)    time_id, n_rows, table width
     kernel_rows               (K, 4)    seq, pattern row, support, cons offset
     kernel_conf               (K,)      candidate confidences
-    kernel_minspeed           (K,)      velocity-partition minimum speeds
     kernel_cells_cols         (C,)      flattened sparse ``bit_cols``
     kernel_cells_weights      (C,)      flattened sparse ``bit_weights``
     ========================  ========  =======================================
+
+Snapshots written while the kernel still carried velocity-filter speeds
+also hold a ``kernel_minspeed`` block and four retired config keys; the
+loader and the repack/merge paths ignore both, so those snapshots keep
+loading (see :meth:`HPMConfig.from_dict`).
 
 Because the blocks are raw ``.npy`` files (not a zip archive),
 ``np.load(mmap_mode="r")`` maps them zero-copy: a loader slices views out
@@ -114,7 +118,6 @@ _BLOCK_SPECS: dict[str, tuple[str, tuple[int, ...]]] = {
     "kernel_buckets": ("<i8", (3,)),
     "kernel_rows": ("<i8", (4,)),
     "kernel_conf": ("<f8", ()),
-    "kernel_minspeed": ("<f8", ()),
     "kernel_cells_cols": ("<i8", ()),
     "kernel_cells_weights": ("<f8", ()),
 }
@@ -252,12 +255,9 @@ def _extract_index_arrays(
     }
 
     kernel = tree.score_kernel(kind)
-    if kernel is None:  # corpus not packable; loads fall back to lazy build
-        return {"tree": tree_arrays, "kernel": None}
     buckets: list[tuple[int, int, int]] = []
     row_blocks: list[np.ndarray] = []
     conf_blocks: list[np.ndarray] = []
-    speed_blocks: list[np.ndarray] = []
     col_blocks: list[np.ndarray] = []
     weight_blocks: list[np.ndarray] = []
     for time_id, pack in kernel.export_buckets():
@@ -273,7 +273,6 @@ def _extract_index_arrays(
         rows[:, 3] = pack.cons_offsets
         row_blocks.append(rows)
         conf_blocks.append(pack.confidences)
-        speed_blocks.append(pack.min_speeds)
         col_blocks.append(
             np.asarray(pack.bit_cols, dtype=np.int64).reshape(-1)
         )
@@ -288,11 +287,6 @@ def _extract_index_arrays(
         "kernel_conf": (
             np.concatenate(conf_blocks)
             if conf_blocks
-            else np.empty(0, dtype=np.float64)
-        ),
-        "kernel_minspeed": (
-            np.concatenate(speed_blocks)
-            if speed_blocks
             else np.empty(0, dtype=np.float64)
         ),
         "kernel_cells_cols": (
@@ -414,7 +408,6 @@ def write_packed_snapshot(
                 ),
             }
             _append("kernel_conf", kernel["kernel_conf"])
-            _append("kernel_minspeed", kernel["kernel_minspeed"])
             _append("kernel_cells_weights", kernel["kernel_cells_weights"])
         objects[object_id] = entry
 
@@ -543,7 +536,6 @@ def _kernel_from_arrays(
     buckets = blocks["kernel_buckets"][b0:b1].tolist()
     rows = blocks["kernel_rows"][r0:r1]
     conf = blocks["kernel_conf"][r0:r1]
-    speeds = blocks["kernel_minspeed"][r0:r1]
     cols = blocks["kernel_cells_cols"][c0:c1]
     weights = blocks["kernel_cells_weights"][c0:c1]
     packs: dict[int, CandidatePack] = {}
@@ -559,7 +551,6 @@ def _kernel_from_arrays(
             confidences=conf[row_cursor : row_cursor + n],
             supports=row_slice[:, 2],
             cons_offsets=row_slice[:, 3],
-            min_speeds=speeds[row_cursor : row_cursor + n],
             patterns=[patterns[i] for i in row_slice[:, 1].tolist()],
         )
         row_cursor += n
@@ -702,7 +693,7 @@ def load_fleet_v2(
             for object_id, entry in objects.items()
             if object_id in wanted
         }
-    config = HPMConfig(**manifest["config"])
+    config = HPMConfig.from_dict(manifest["config"])
     stored_kind = manifest.get("kernel_kind")
     # Stored kernels only apply when the fleet still scores with the
     # weight family they were packed for; otherwise first queries build
@@ -776,7 +767,6 @@ def _slice_object_arrays(
             "kernel_buckets": blocks["kernel_buckets"][b0:b1],
             "kernel_rows": blocks["kernel_rows"][k0:k1],
             "kernel_conf": blocks["kernel_conf"][k0:k1],
-            "kernel_minspeed": blocks["kernel_minspeed"][k0:k1],
             "kernel_cells_cols": blocks["kernel_cells_cols"][c0:c1],
             "kernel_cells_weights": blocks["kernel_cells_weights"][c0:c1],
         }
@@ -846,7 +836,7 @@ def merge_packed_snapshots(
         if config is None:
             config = manifest["config"]
             kind = manifest["kernel_kind"]
-            HPMConfig(**config)
+            HPMConfig.from_dict(config)
         elif manifest["config"] != config:
             raise ValueError(
                 f"{source}: snapshot config differs from the other sources'"

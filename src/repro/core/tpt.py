@@ -32,7 +32,7 @@ from ..signature.bitset import contain, difference, iter_set_bits, size
 from ..signature.signature_tree import LeafEntry, Node, SignatureTree
 from .keys import KeyCodec, PatternKey
 from .patterns import TrajectoryPattern
-from .scorekernel import KernelUnavailable, ScoreKernel
+from .scorekernel import ScoreKernel
 
 __all__ = ["TrajectoryPatternTree"]
 
@@ -62,10 +62,9 @@ class TrajectoryPatternTree(SignatureTree):
         # rebuilt lazily after any structural change (see
         # consequence_index).
         self._consequence_index: dict[int, list] | None = None
-        # weight-function kind -> packed scoring kernel (or None when the
-        # corpus is unpackable); derived from the consequence index and
-        # invalidated with it.
-        self._score_kernels: dict[str, ScoreKernel | None] = {}
+        # weight-function kind -> packed scoring kernel; derived from the
+        # consequence index and invalidated with it.
+        self._score_kernels: dict[str, ScoreKernel] = {}
 
     # ------------------------------------------------------------------
     # structural mutations invalidate the offset index and the kernels
@@ -157,17 +156,13 @@ class TrajectoryPatternTree(SignatureTree):
         self._invalidate_index()
         return swapped
 
-    def score_kernel(self, kind: str) -> "ScoreKernel | None":
+    def score_kernel(self, kind: str) -> ScoreKernel:
         """The packed scoring kernel for one weight family, building it if
-        stale; ``None`` when the corpus cannot be packed (callers keep the
-        scan path).  Cached until the next structural mutation, exactly
-        like :meth:`consequence_index`."""
+        stale.  Cached until the next structural mutation, exactly like
+        :meth:`consequence_index`."""
         kernels = self._score_kernels
         if kind not in kernels:
-            try:
-                kernels[kind] = ScoreKernel.build(self, kind)
-            except KernelUnavailable:
-                kernels[kind] = None
+            kernels[kind] = ScoreKernel.build(self, kind)
         return kernels[kind]
 
     def prime_score_kernel(self, kind: str, kernel: "ScoreKernel") -> None:

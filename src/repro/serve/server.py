@@ -167,18 +167,12 @@ class PredictionService:
                 help=f"seconds spent in the {phase} fit phase",
                 buckets=FIT_PHASE_BUCKETS,
             )
-        # Same pre-registration for the query-kernel instruments: the
-        # batch-size histogram needs count-scale buckets, and the fallback
-        # counter should appear at /metrics (and in shard-router merges)
-        # even before the first demotion.
+        # Same pre-registration for the query-kernel batch-size histogram,
+        # which needs count-scale buckets.
         self.metrics.histogram(
             "predict_kernel_batch_size",
             help="FQP lookups scored per kernel invocation",
             buckets=KERNEL_BATCH_BUCKETS,
-        )
-        self.metrics.counter(
-            "predict_kernel_fallback_total",
-            help="Prepared plans demoted from the kernel to the scan backend",
         )
         # Replay the fleet's recorded fit-phase timings into the registry:
         # warmed-up models were fitted before this registry existed (in a
@@ -400,10 +394,9 @@ class PredictionService:
         object is probed at many query times — share one prepared query
         plan, so region mapping, premise-key encoding and motion-function
         fitting happen once per distinct window instead of once per
-        request.  On the kernel backend, all the batch's FQP lookups are
-        additionally scored in one kernel invocation before answering
-        (``prime_plan_queries``).  Answers are byte-identical to
-        per-request ``fleet.predict`` calls.
+        request.  All the batch's FQP lookups are additionally scored in
+        one kernel invocation before answering (``prime_plan_queries``).
+        Answers are byte-identical to per-request ``fleet.predict`` calls.
         """
         results = []
         # One lock acquisition covers the whole batch.

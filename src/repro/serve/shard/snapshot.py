@@ -175,7 +175,7 @@ def merge_snapshot(source: str | Path, output: str | Path) -> list[str]:
             config = shard_manifest["config"]
             format_version = shard_manifest["format_version"]
             # Validate once so a corrupted shard config fails loudly.
-            HPMConfig(**config)
+            HPMConfig.from_dict(config)
         elif shard_manifest["config"] != config:
             raise ValueError(
                 f"{shard_dir}: shard config differs from the other shards'"

@@ -1,5 +1,7 @@
 """Tests for HPMConfig validation and derived values."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import HPMConfig
@@ -41,6 +43,31 @@ class TestValidation:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             HPMConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "kind,longest_ok",
+        [("exponential", 1022), ("factorial", 170)],
+    )
+    def test_weight_overflow_rejected_at_boundary(self, kind, longest_ok):
+        # Past these lengths the weights round to 0.0 (exponential 1023),
+        # or the raw family overflows a float (exponential 1024,
+        # factorial 171).
+        HPMConfig(weight_function=kind, max_premise_length=longest_ok)
+        for length in (longest_ok + 1, longest_ok + 2):
+            with pytest.raises(ValueError, match="finite and positive"):
+                HPMConfig(weight_function=kind, max_premise_length=length)
+
+    def test_from_dict_drops_only_retired_keys(self):
+        stored = dataclasses.asdict(HPMConfig(eps=20.0))
+        retired = dict(
+            query_backend="scan",
+            velocity_filter=True,
+            velocity_bands=4,
+            velocity_slack=2.0,
+        )
+        assert HPMConfig.from_dict({**stored, **retired}) == HPMConfig(eps=20.0)
+        with pytest.raises(TypeError):
+            HPMConfig.from_dict({**stored, "no_such_option": 1})
 
     def test_frozen(self):
         cfg = HPMConfig()

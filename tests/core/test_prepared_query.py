@@ -23,16 +23,11 @@ from repro.core.patterns import (
 )
 from repro.core.plan import PreparedQuery
 from repro.core.prediction import HybridPredictor
-from repro.core.similarity import (
-    PremiseScorer,
-    bqp_score,
-    consequence_similarity,
-    fqp_score,
-    premise_similarity,
-)
+from repro.core.similarity import PremiseScorer, premise_similarity
 from repro.core.tpt import TrajectoryPatternTree
 from repro.motion.rmf import RecursiveMotionFunction
 from repro.trajectory import Point, TimedPoint, Trajectory
+from tests.core.legacy_reference import legacy_backward, legacy_forward
 
 
 @pytest.fixture(scope="module")
@@ -113,76 +108,8 @@ class TestPreparedPlanEquivalence:
 
 
 # ----------------------------------------------------------------------
-# the legacy oracle: descent + uncached similarity + full sort
+# the legacy oracle (tests/core/legacy_reference.py)
 # ----------------------------------------------------------------------
-def legacy_forward(predictor, recent, query_time, k):
-    recent_regions = predictor.map_recent_to_regions(recent)
-    query_key = predictor.codec.encode_query(
-        recent_regions, query_time % predictor.config.period
-    )
-    candidates = predictor.tree.search_candidates_descent(query_key)
-    if not candidates:
-        return None
-    scored = []
-    for pattern, key in candidates:
-        sr = premise_similarity(
-            key.premise_key, query_key.premise_key, predictor.config.weight_function
-        )
-        scored.append((fqp_score(sr, pattern.confidence), pattern))
-    scored.sort(key=lambda sp: (-sp[0], -sp[1].confidence, -sp[1].support))
-    return [
-        (score, pattern.consequence.center, pattern)
-        for score, pattern in scored[:k]
-    ]
-
-
-def legacy_backward(predictor, recent, query_time, k):
-    tc = recent[-1].t
-    recent_regions = predictor.map_recent_to_regions(recent)
-    query_key = predictor.codec.encode_query(
-        recent_regions, query_time % predictor.config.period
-    )
-    t_eps = predictor.config.time_relaxation
-    i = 1
-    while True:
-        relaxation = i * t_eps
-        offsets = {
-            t % predictor.config.period
-            for t in range(query_time - relaxation, query_time + relaxation + 1)
-        }
-        mask = predictor.codec.consequence_mask(offsets)
-        candidates = predictor.tree.search_by_consequence_descent(mask)
-        if candidates:
-            horizon = query_time - tc
-            scored = []
-            for pattern, key in candidates:
-                sr = premise_similarity(
-                    key.premise_key,
-                    query_key.premise_key,
-                    predictor.config.weight_function,
-                )
-                sc = consequence_similarity(
-                    predictor._offset_distance(pattern.consequence_offset, query_time),
-                    relaxation,
-                )
-                score = bqp_score(
-                    sr,
-                    sc,
-                    pattern.confidence,
-                    predictor.config.distant_threshold,
-                    horizon,
-                )
-                scored.append((score, pattern))
-            scored.sort(key=lambda sp: (-sp[0], -sp[1].confidence, -sp[1].support))
-            return [
-                (score, pattern.consequence.center, pattern)
-                for score, pattern in scored[:k]
-            ]
-        i += 1
-        if query_time - i * t_eps <= tc:
-            return None
-
-
 class TestLegacyOracle:
     def test_fqp_byte_identical(self, world):
         model, base = world

@@ -1,12 +1,12 @@
 """Tests for the vectorized query kernel (``repro.core.scorekernel``).
 
-The contract under test: the packed-numpy kernel backend answers every
-FQP/BQP query **bit-identically** to the per-candidate scan oracle —
-same floats, same patterns, same tie order — while the plan demotes
-itself gracefully whenever the kernel is unavailable or raises, the
-kernel cache follows the consequence index's invalidation contract, the
-per-plan FQP memo stays bounded, and the opt-in velocity filter stays
-off by default.
+The contract under test: the packed-numpy kernel, the only candidate
+scorer, answers every FQP/BQP query **bit-identically** to the
+per-candidate reference in ``tests/core/legacy_reference.py`` — same
+floats, same patterns, same tie order — while kernel errors propagate
+to the caller instead of being answered by another path, the kernel
+cache follows the consequence index's invalidation contract, and the
+per-plan FQP memo stays bounded.
 """
 
 import pickle
@@ -24,15 +24,14 @@ from repro.core.model import HybridPredictionModel
 from repro.core.scorekernel import (
     KERNEL_BATCH_BUCKETS,
     pack_premise_tables,
-    pattern_min_speed,
     premise_scores,
     prime_plan_queries,
     top_indices,
 )
 from repro.core.similarity import PremiseScorer
-from repro.core.tpt import TrajectoryPatternTree
 from repro.serve.metrics import MetricsRegistry
 from repro.trajectory import TimedPoint, Trajectory
+from tests.core.legacy_reference import legacy_predict, legacy_trajectory
 
 PERIOD = 16
 CFG_KW = dict(period=PERIOD, eps=5.0, min_pts=4, distant_threshold=6, recent_window=3)
@@ -48,23 +47,6 @@ def build_model(num_subs=25, **overrides) -> HybridPredictionModel:
     return HybridPredictionModel(cfg).fit(Trajectory(np.vstack(blocks)))
 
 
-def clone_with_config(model: HybridPredictionModel, **overrides) -> HybridPredictionModel:
-    """A model sharing ``model``'s fitted state under a tweaked config.
-
-    Mining is backend-independent, so sharing regions/patterns/tree makes
-    backend comparisons exact by construction.
-    """
-    clone = HybridPredictionModel(model.config.with_overrides(**overrides))
-    clone._history = model._history
-    clone._regions = model._regions
-    clone._patterns = model._patterns
-    clone._mining_stats = model._mining_stats
-    clone._codec = model._codec
-    clone._tree = model._tree
-    clone._refresh_predictor()
-    return clone
-
-
 def make_window(tc: int, length: int = 3) -> list[TimedPoint]:
     """A recent window riding the noiseless base route up to time ``tc``."""
     return [
@@ -78,59 +60,54 @@ def kernel_model():
     return build_model()
 
 
-@pytest.fixture(scope="module")
-def scan_model(kernel_model):
-    return clone_with_config(kernel_model, query_backend="scan")
-
-
 # ----------------------------------------------------------------------
-# kernel == scan, end to end
+# kernel == per-candidate scan reference, end to end
 # ----------------------------------------------------------------------
 class TestKernelScanEquivalence:
-    def test_kernel_backend_is_active(self, kernel_model, scan_model):
+    def test_kernel_backend_is_active(self, kernel_model):
         window = make_window(401)
-        kplan = kernel_model.prepare(window)
-        splan = scan_model.prepare(window)
-        assert kplan._backend == "kernel"
-        assert kplan.kernel_fallbacks == 0
-        assert splan._backend == "scan"
-        assert splan._kernel is None
+        plan = kernel_model.prepare(window)
+        tree = kernel_model._tree
+        assert plan._kernel is tree.score_kernel(kernel_model.config.weight_function)
+        assert plan.premise_key != 0
+        assert np.flatnonzero(plan._qvec).tolist() == [
+            bit for bit in range(plan._qvec.size) if plan.premise_key >> bit & 1
+        ]
 
-    def test_point_queries_bit_identical(self, kernel_model, scan_model):
+    def test_point_queries_bit_identical(self, kernel_model):
         methods = set()
         for tc in (401, 407, 412):
             window = make_window(tc)
             kplan = kernel_model.prepare(window)
-            splan = scan_model.prepare(window)
             horizons = list(range(1, 2 * PERIOD)) + [3 * PERIOD, 4 * PERIOD + 1]
             for h in horizons:
                 for k in (1, 3, 8):
                     got = kplan.predict(tc + h, k)
-                    want = splan.predict(tc + h, k)
+                    want = legacy_predict(kernel_model, window, tc + h, k)
                     assert repr(got) == repr(want), (tc, h, k)
                     methods.update(p.method for p in got)
         # The sweep must actually exercise every path, or the comparison
         # is vacuous.
         assert methods == {"fqp", "bqp", "motion"}
 
-    def test_trajectory_sweeps_identical(self, kernel_model, scan_model):
+    def test_trajectory_sweeps_identical(self, kernel_model):
         for tc, step in ((401, 1), (407, 3)):
             window = make_window(tc)
             got = kernel_model.predict_trajectory(window, tc + 1, tc + 40, step)
-            want = scan_model.predict_trajectory(window, tc + 1, tc + 40, step)
+            want = legacy_trajectory(kernel_model, window, tc + 1, tc + 40, step)
             assert repr(got) == repr(want)
 
-    def test_pattern_free_model_stays_scan(self):
-        # Too sparse to mine any pattern: tree is None, plan answers by
-        # motion without counting a kernel fallback.
+    def test_pattern_free_model_has_no_kernel(self):
+        # Too sparse to mine any pattern: tree is None, the plan has no
+        # kernel to prime and answers by motion.
         rng = np.random.default_rng(3)
         model = HybridPredictionModel(HPMConfig(**CFG_KW)).fit(
             Trajectory(rng.uniform(0, 1e6, (2 * PERIOD, 2)))
         )
         assert model._tree is None
         plan = model.prepare(make_window(101))
-        assert plan._backend == "scan"
-        assert plan.kernel_fallbacks == 0
+        assert plan._kernel is None
+        assert plan.prime_sweep(102, 140) == 0
         assert plan.predict(103)[0].method == "motion"
 
 
@@ -216,14 +193,13 @@ class TestScoringProperties:
 # memo bound (satellite: hostile query streams must not grow plans)
 # ----------------------------------------------------------------------
 class TestForwardMemoBound:
-    def test_hostile_query_stream_stays_within_period(self, kernel_model, scan_model):
-        for model in (kernel_model, scan_model):
-            plan = model.prepare(make_window(401))
-            # forward() skips the distant-time validation, so this walks
-            # every offset many times over.
-            for qt in range(402, 402 + 5 * PERIOD):
-                plan.forward(qt, 1)
-            assert len(plan._fqp_scored) <= PERIOD
+    def test_hostile_query_stream_stays_within_period(self, kernel_model):
+        plan = kernel_model.prepare(make_window(401))
+        # forward() skips the distant-time validation, so this walks
+        # every offset many times over.
+        for qt in range(402, 402 + 5 * PERIOD):
+            plan.forward(qt, 1)
+        assert len(plan._fqp_scored) <= PERIOD
 
     def test_store_forward_evicts_oldest(self, kernel_model):
         plan = kernel_model.prepare(make_window(401))
@@ -263,17 +239,14 @@ class TestKernelInvalidation:
         assert tree.score_kernel(kind) is not third
 
     def test_delta_refit_keeps_backends_identical(self):
+        # The kernel on a delta-patched tree answers like the reference
+        # descending the same patched tree.
         kernel = build_model(num_subs=15)
-        scan = clone_with_config(kernel, query_backend="scan")
-        # scan shares kernel's tree; refit each against its own copy so
-        # the update paths stay independent.
-        scan = pickle.loads(pickle.dumps(scan))
         rng = np.random.default_rng(7)
         base = np.column_stack([70.0 * np.arange(PERIOD), 35.0 * np.arange(PERIOD)])
         new_rows = np.vstack([base + rng.normal(0, 0.8, base.shape) for _ in range(2)])
         old_kernel_cache = dict(kernel._tree._score_kernels)
         kernel.update(new_rows, refit="delta")
-        scan.update(new_rows, refit="delta")
         # The ingest must have invalidated any packed state built before it.
         assert not set(kernel._tree._score_kernels) & set(old_kernel_cache) or (
             kernel._tree._score_kernels != old_kernel_cache
@@ -282,10 +255,10 @@ class TestKernelInvalidation:
         window = make_window(tc)
         for h in list(range(1, 2 * PERIOD)) + [3 * PERIOD]:
             got = kernel.predict(window, tc + h, 3)
-            want = scan.predict(window, tc + h, 3)
+            want = legacy_predict(kernel, window, tc + h, 3)
             assert repr(got) == repr(want), h
 
-    def test_pickle_drops_kernels_and_rebuilds_lazily(self, kernel_model, scan_model):
+    def test_pickle_drops_kernels_and_rebuilds_lazily(self, kernel_model):
         window = make_window(401)
         kernel_model.predict(window, 403)  # ensure the cache is populated
         assert kernel_model._tree._score_kernels
@@ -293,106 +266,52 @@ class TestKernelInvalidation:
         assert loaded._tree._score_kernels == {}
         for h in (1, 3, 8, 20):
             got = loaded.predict(window, 401 + h, 3)
-            want = scan_model.predict(window, 401 + h, 3)
+            want = legacy_predict(kernel_model, window, 401 + h, 3)
             assert repr(got) == repr(want)
         assert loaded._tree._score_kernels
 
 
 # ----------------------------------------------------------------------
-# graceful demotion to the scan backend
+# kernel errors propagate (no silent second path)
 # ----------------------------------------------------------------------
-class TestKernelFallback:
-    def test_unavailable_kernel_demotes_at_prepare(self, monkeypatch):
-        model = build_model(num_subs=15)
-        scan_model = clone_with_config(model, query_backend="scan")
-        registry = MetricsRegistry()
-        model.bind_metrics(registry)
-        monkeypatch.setattr(
-            TrajectoryPatternTree, "score_kernel", lambda self, kind: None
-        )
-        window = make_window(401)
-        plan = model.prepare(window)
-        assert plan._backend == "scan"
-        assert plan.kernel_fallbacks == 1
-        assert registry.counter("predict_kernel_fallback_total").value == 1
-        for h in (2, 9, 20):
-            assert repr(plan.predict(401 + h, 3)) == repr(
-                scan_model.predict(window, 401 + h, 3)
-            )
-
-    def test_oversized_corpus_is_unavailable(self, monkeypatch):
-        import repro.core.scorekernel as sk
-
-        model = build_model(num_subs=15)
-        monkeypatch.setattr(sk, "_MAX_CELLS", 0)
-        tree = model._tree
-        tree._score_kernels.clear()
-        assert tree.score_kernel(model.config.weight_function) is None
-        # The unavailability itself is cached: prepare falls back cleanly.
-        plan = model.prepare(make_window(401))
-        assert plan._backend == "scan"
-        assert plan.kernel_fallbacks == 1
-
-    def test_mid_query_error_demotes_and_answers(self, kernel_model, scan_model):
-        registry = MetricsRegistry()
-        window = make_window(401)
-        for horizon in (2, 20):  # one FQP, one BQP
-            plan = kernel_model.prepare(window)
-            plan._metrics = registry
-            assert plan._backend == "kernel"
-            plan._qvec = None  # sabotage: every kernel scoring call raises
-            got = plan.predict(401 + horizon, 3)
-            assert plan._backend == "scan"
-            assert plan.kernel_fallbacks == 1
-            assert repr(got) == repr(scan_model.predict(window, 401 + horizon, 3))
-        assert registry.counter("predict_kernel_fallback_total").value == 2
+class ScoringError(Exception):
+    pass
 
 
-# ----------------------------------------------------------------------
-# velocity partitioning (opt-in heuristic)
-# ----------------------------------------------------------------------
-class TestVelocityFilter:
-    def test_off_by_default(self, kernel_model):
-        assert kernel_model.config.velocity_filter is False
-        plan = kernel_model.prepare(make_window(401))
-        assert plan._velocity_cap is None
+class ExplodingVector:
+    """A query vector every kernel use of which raises."""
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HPMConfig(**CFG_KW, velocity_bands=1)
-        with pytest.raises(ValueError):
-            HPMConfig(**CFG_KW, velocity_slack=0.0)
+    def __getitem__(self, index):
+        raise ScoringError
 
-    def test_huge_slack_matches_unfiltered(self, kernel_model):
-        relaxed = clone_with_config(
-            kernel_model, velocity_filter=True, velocity_slack=1e12
-        )
-        for tc in (401, 407):
-            window = make_window(tc)
-            for h in (1, 3, 9, 20):
-                got = relaxed.predict(window, tc + h, 3)
-                want = kernel_model.predict(window, tc + h, 3)
-                assert repr(got) == repr(want)
+    @property
+    def shape(self):
+        raise ScoringError
 
-    def test_tight_cap_only_admits_slow_patterns(self, kernel_model):
-        strict = clone_with_config(
-            kernel_model, velocity_filter=True, velocity_slack=1e-6
-        )
-        # A single-sample window has speed 0 — the slowest band.
-        window = make_window(401, length=1)
-        plan = strict.prepare(window)
-        cap = plan._velocity_cap
-        assert cap is not None
-        for h in (2, 4, 9, 20):
-            for p in plan.predict(401 + h, 3):
-                if p.pattern is not None:
-                    assert pattern_min_speed(p.pattern) <= cap
 
-    def test_top_band_is_unbounded(self, kernel_model):
-        kernel = kernel_model._tree.score_kernel(
-            kernel_model.config.weight_function
-        )
-        assert kernel.velocity_cap(1e15, 2.0, 4) is None
+def sabotaged_plan(model, tc=401):
+    plan = model.prepare(make_window(tc))
+    plan._qvec = ExplodingVector()
+    return plan
+
+
+class TestKernelErrorsPropagate:
+    def test_fqp_error_raises_from_predict(self, kernel_model):
+        with pytest.raises(ScoringError):
+            sabotaged_plan(kernel_model).predict(403, 3)
+
+    def test_bqp_error_raises_from_predict(self, kernel_model):
+        with pytest.raises(ScoringError):
+            sabotaged_plan(kernel_model).predict(421, 3)
+
+    def test_single_plan_priming_raises(self, kernel_model):
+        with pytest.raises(ScoringError):
+            prime_plan_queries([(sabotaged_plan(kernel_model), 403)])
+
+    def test_batched_priming_raises(self, kernel_model):
+        healthy = kernel_model.prepare(make_window(401))
+        with pytest.raises(ScoringError):
+            prime_plan_queries([(healthy, 403), (sabotaged_plan(kernel_model), 403)])
 
 
 # ----------------------------------------------------------------------
@@ -422,21 +341,21 @@ def fleet_world():
         period=FLEET_PERIOD, eps=5.0, min_pts=4, distant_threshold=4, recent_window=3
     )
     kernel_fleet = FleetPredictionModel(cfg).fit(histories)
-    scan_fleet = FleetPredictionModel(
-        cfg.with_overrides(query_backend="scan")
-    ).fit(histories)
-    return kernel_fleet, scan_fleet, recents
+    return kernel_fleet, recents
 
 
 class TestCrossObjectBatching:
     def test_predict_all_matches_scan_and_per_object(self, fleet_world):
-        kernel_fleet, scan_fleet, recents = fleet_world
+        kernel_fleet, recents = fleet_world
         registry = MetricsRegistry()
         kernel_fleet.bind_metrics(registry)
         try:
             for query_time in (203, 205):
                 batched = kernel_fleet.predict_all(recents, query_time)
-                scan = scan_fleet.predict_all(recents, query_time)
+                scan = {
+                    oid: legacy_predict(kernel_fleet[oid], recent, query_time, 1)[0]
+                    for oid, recent in recents.items()
+                }
                 assert repr(batched) == repr(scan)
                 per_object = {
                     oid: kernel_fleet.predict(oid, recents[oid], query_time, 1)[0]
@@ -466,7 +385,7 @@ class TestCrossObjectBatching:
                 )
         assert primed >= 1
 
-    def test_prime_sweep_fills_fqp_offsets(self, kernel_model, scan_model):
+    def test_prime_sweep_fills_fqp_offsets(self, kernel_model):
         window = make_window(401)
         plan = kernel_model.prepare(window)
         primed = plan.prime_sweep(402, 440)
@@ -474,13 +393,8 @@ class TestCrossObjectBatching:
         assert primed == 5
         assert sorted(plan._fqp_scored) == sorted(t % PERIOD for t in range(402, 407))
         got = plan.predict_trajectory(402, 440)
-        want = scan_model.predict_trajectory(window, 402, 440)
+        want = legacy_trajectory(kernel_model, window, 402, 440)
         assert repr(got) == repr(want)
-
-    def test_prime_sweep_noop_on_scan_backend(self, scan_model):
-        plan = scan_model.prepare(make_window(401))
-        assert plan.prime_sweep(402, 440) == 0
-        assert plan._fqp_scored == {}
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +448,7 @@ class TestLocatePrewarm:
         from repro.core.persistence import save_fleet
         from repro.serve import PredictionService
 
-        kernel_fleet, _scan_fleet, _recents = fleet_world
+        kernel_fleet, _recents = fleet_world
         snapshot = tmp_path / "snapshot"
         save_fleet(kernel_fleet, snapshot)
 

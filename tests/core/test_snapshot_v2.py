@@ -21,6 +21,7 @@ from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
 from repro.core.persistence import convert_snapshot, load_fleet, save_fleet
 from repro.core.snapshot2 import snapshot_stat
+from repro.serve.shard.snapshot import merge_snapshot, shard_dir_name, split_snapshot
 from repro.trajectory import TimedPoint, Trajectory
 
 PERIOD = 12
@@ -202,6 +203,72 @@ class TestCorruptionPaths:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="does not match"):
             load_fleet(dest)
+
+
+# Options removed from HPMConfig that older snapshots still store.
+RETIRED_OPTIONS = dict(
+    query_backend="kernel",
+    velocity_filter=False,
+    velocity_bands=4,
+    velocity_slack=2.0,
+)
+
+
+def age_v2_snapshot(source, dest):
+    """A copy of a v2 snapshot laid out as older writers left it: the
+    retired config keys plus a ``kernel_minspeed`` block (one speed per
+    kernel row, listed right after ``kernel_conf`` in the manifest)."""
+    shutil.copytree(source, dest)
+    manifest_path = dest / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(RETIRED_OPTIONS)
+    rows = manifest["blocks"]["kernel_rows"][0]
+    np.save(dest / "block_kernel_minspeed.npy", np.zeros(rows, dtype="<f8"))
+    blocks = {}
+    for name, shape in manifest["blocks"].items():
+        blocks[name] = shape
+        if name == "kernel_conf":
+            blocks["kernel_minspeed"] = [rows]
+    manifest["blocks"] = blocks
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+
+def age_v1_snapshot(source, dest):
+    """A copy of a v1 snapshot whose manifest and per-object archives
+    carry the retired config keys."""
+    shutil.copytree(source, dest)
+    manifest_path = dest / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(RETIRED_OPTIONS)
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    for filename in manifest["objects"].values():
+        with np.load(dest / filename) as archive:
+            arrays = dict(archive)
+        meta = json.loads(bytes(arrays["meta"].tobytes()).decode("utf-8"))
+        meta["config"].update(RETIRED_OPTIONS)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(dest / filename, **arrays)
+
+
+class TestRetiredOptionSnapshots:
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_load_split_merge_identical(
+        self, fitted_fleet, snapshots, tmp_path, version
+    ):
+        aged = tmp_path / "aged"
+        age = age_v2_snapshot if version == "v2" else age_v1_snapshot
+        age(snapshots / version, aged)
+        reference = fleet_fingerprints(fitted_fleet)
+        assert fleet_fingerprints(load_fleet(aged)) == reference
+
+        placement = split_snapshot(aged, tmp_path / "split", num_shards=2)
+        by_id = {entry[0]: entry for entry in reference}
+        for shard_id, object_ids in placement.items():
+            shard = load_fleet(tmp_path / "split" / shard_dir_name(shard_id))
+            assert fleet_fingerprints(shard) == [by_id[oid] for oid in object_ids]
+
+        merge_snapshot(tmp_path / "split", tmp_path / "merged")
+        assert fleet_fingerprints(load_fleet(tmp_path / "merged")) == reference
 
 
 class TestCopyOnWriteRefit:
