@@ -1,27 +1,22 @@
-"""Snapshot format A/B: v1 npz-per-object vs v2 packed columnar blocks.
+"""Snapshot cold start: save, load and first prediction, fingerprint-gated.
 
-The cold-start path is the last unvectorised hot path: a shard worker
-that restarts (SIGKILL -> backoff -> reload its ring slice) and a
-``PredictionService.from_snapshot`` boot both pay decompression,
-per-row Python reconstruction, and a full lazy ``ScoreKernel.build``
-before the first prediction.  Format v2 (``repro.core.snapshot2``)
-stores packed columnar blocks plus the serialised TPT structure and
-kernel tables, so a loader maps the blocks and replays structure
-instead of re-deriving it.
+The cold-start path is what a shard worker that restarts (SIGKILL ->
+backoff -> reload its ring slice) and a
+``PredictionService.from_snapshot`` boot pay before the first
+prediction.  A snapshot (``repro.core.persistence``) stores packed
+columnar blocks plus the serialised TPT structure and kernel tables, so
+a loader maps the blocks read-only and replays structure instead of
+re-deriving it.
 
-Methodology: one fleet is fitted once and saved in both formats.
-Every timing probe runs in a **fresh subprocess** (cold imports, cold
-page cache for the process, honest ``ru_maxrss``) and measures, inside
-the process, wall-clock for ``load_fleet`` and for the first prediction
-on every object.  The restart drill splits both snapshots into shards
-and times a single shard worker's slice load + first prediction — the
-exact recovery path of ``repro.serve.shard``.  Before any timing, the
-state + prediction SHA-256 fingerprints of v1, v2-mmap, and
-v2-materialised loads are checked against the fitted fleet; any
-divergence fails the run.
-
-Non-smoke runs fail unless the v2 mmap cold start (load + first
-prediction) is at least ``SPEEDUP_GATE``x faster than v1's.
+Methodology: one fleet is fitted once and saved.  Before any timing,
+the state + prediction SHA-256 fingerprints of a load are checked
+against the fitted fleet; any divergence fails the run.  Every timing
+probe then runs in a **fresh subprocess** (cold imports, cold page
+cache for the process) and measures, inside the process, wall-clock for
+``load_fleet`` and for the first prediction on every object, plus the
+process's peak resident set (``VmHWM``).  The restart drill splits the
+snapshot into shards and times a single shard worker's slice load +
+first prediction — the exact recovery path of ``repro.serve.shard``.
 
     PYTHONPATH=src python benchmarks/bench_snapshot.py            # full, writes BENCH_snapshot.json
     PYTHONPATH=src python benchmarks/bench_snapshot.py --smoke    # CI-sized
@@ -31,7 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
+import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -39,7 +35,6 @@ import tempfile
 import time
 from pathlib import Path
 
-SPEEDUP_GATE = 3.0
 PROBE_WINDOW = 3
 
 
@@ -66,6 +61,23 @@ def first_predict_all(fleet) -> None:
         model.predict(recent, start_time + PROBE_WINDOW + 2)
 
 
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set (``VmHWM``) in MB.
+
+    ``ru_maxrss`` is no use here: Linux carries the parent's high-water
+    mark into the child across exec, so every probe spawned by a large
+    driver process would report the driver's peak.
+    """
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        return None
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+    return None
+
+
 def run_probe(args) -> int:
     from repro.core.persistence import load_fleet
     from repro.serve.shard import load_shard_fleet
@@ -73,11 +85,9 @@ def run_probe(args) -> int:
     t0 = time.perf_counter()
     if args.shard is not None:
         shard_id, num_shards = args.shard
-        fleet = load_shard_fleet(
-            args.probe, shard_id, num_shards, mmap=args.mmap
-        )
+        fleet = load_shard_fleet(args.probe, shard_id, num_shards)
     else:
-        fleet = load_fleet(args.probe, mmap=args.mmap)
+        fleet = load_fleet(args.probe)
     t1 = time.perf_counter()
     first_predict_all(fleet)
     t2 = time.perf_counter()
@@ -88,8 +98,7 @@ def run_probe(args) -> int:
                 "load_seconds": t1 - t0,
                 "first_predict_seconds": t2 - t1,
                 "total_seconds": t2 - t0,
-                "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                / 1024.0,
+                "rss_mb": peak_rss_mb(),
             }
         )
     )
@@ -98,14 +107,11 @@ def run_probe(args) -> int:
 
 def probe(
     snapshot: Path,
-    mmap: bool,
     shard: tuple[int, int] | None = None,
     repeats: int = 3,
 ) -> dict:
     """Best-of-N cold measurements, each in a fresh interpreter."""
     command = [sys.executable, __file__, "--probe", str(snapshot)]
-    if not mmap:
-        command.append("--no-mmap")
     if shard is not None:
         command += ["--shard", str(shard[0]), str(shard[1])]
     runs = []
@@ -174,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="BENCH_snapshot.json")
     parser.add_argument("--probe", help=argparse.SUPPRESS)
     parser.add_argument(
-        "--no-mmap", dest="mmap", action="store_false", help=argparse.SUPPRESS
-    )
-    parser.add_argument(
         "--shard", nargs=2, type=int, default=None, help=argparse.SUPPRESS
     )
     args = parser.parse_args(argv)
@@ -189,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         args.shards = min(args.shards, 2)
         args.repeats = 1
 
+    import numpy as np
     from bench_fleet_fit import build_histories, fit_config
 
     from repro import FleetPredictionModel
@@ -209,62 +213,39 @@ def main(argv: list[str] | None = None) -> int:
 
     workdir = Path(tempfile.mkdtemp(prefix="bench_snapshot_"))
     try:
-        v1_dir, v2_dir = workdir / "v1", workdir / "v2"
+        snapshot = workdir / "snapshot"
         t0 = time.perf_counter()
-        save_fleet(fleet, v1_dir, format=1, max_workers=args.workers)
-        save_v1 = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        save_fleet(fleet, v2_dir, format=2, max_workers=args.workers)
-        save_v2 = time.perf_counter() - t0
+        save_fleet(fleet, snapshot, max_workers=args.workers)
+        save_seconds = time.perf_counter() - t0
 
-        print("checking fingerprint identity v1 / v2-mmap / v2-mat ...")
-        reference = fleet_fingerprints(fleet)
-        identical = (
-            fleet_fingerprints(load_fleet(v1_dir)) == reference
-            and fleet_fingerprints(load_fleet(v2_dir, mmap=True)) == reference
-            and fleet_fingerprints(load_fleet(v2_dir, mmap=False)) == reference
+        print("checking load fingerprint identity ...")
+        identical = fleet_fingerprints(load_fleet(snapshot)) == (
+            fleet_fingerprints(fleet)
         )
         if not identical:
-            print("FAIL: fingerprints diverge across formats", file=sys.stderr)
+            print("FAIL: loaded fleet's fingerprints diverge", file=sys.stderr)
             return 1
 
-        print("cold-start probes (fresh subprocess each) ...")
-        cold = {
-            "v1": probe(v1_dir, mmap=True, repeats=args.repeats),
-            "v2_mmap": probe(v2_dir, mmap=True, repeats=args.repeats),
-            "v2_materialized": probe(
-                v2_dir, mmap=False, repeats=args.repeats
-            ),
-        }
+        print("cold-start probe (fresh subprocess each) ...")
+        cold = probe(snapshot, repeats=args.repeats)
 
         print("shard-restart drill (slice reload after worker kill) ...")
-        v1_sharded, v2_sharded = workdir / "v1_sharded", workdir / "v2_sharded"
-        placement = split_snapshot(v1_dir, v1_sharded, args.shards)
-        split_snapshot(v2_dir, v2_sharded, args.shards)
+        sharded = workdir / "sharded"
+        placement = split_snapshot(snapshot, sharded, args.shards)
         # Probe the busiest shard — an empty slice would time nothing.
         victim = max(placement, key=lambda s: len(placement[s]))
-        restart = {
-            "shard_objects": len(placement[victim]),
-            "v1": probe(
-                v1_sharded, mmap=True, shard=(victim, args.shards),
-                repeats=args.repeats,
-            ),
-            "v2_mmap": probe(
-                v2_sharded, mmap=True, shard=(victim, args.shards),
-                repeats=args.repeats,
-            ),
-        }
-
-        speedup_cold = (
-            cold["v1"]["total_seconds"] / cold["v2_mmap"]["total_seconds"]
+        restart = probe(
+            sharded, shard=(victim, args.shards), repeats=args.repeats
         )
-        speedup_restart = (
-            restart["v1"]["total_seconds"]
-            / restart["v2_mmap"]["total_seconds"]
-        )
+        restart["shard_objects"] = len(placement[victim])
         report = {
             "benchmark": "snapshot",
             "smoke": args.smoke,
+            "host": {
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
             "params": {
                 "objects": args.objects,
                 "subtrajectories": args.subtrajectories,
@@ -272,15 +253,10 @@ def main(argv: list[str] | None = None) -> int:
                 "shards": args.shards,
                 "repeats": args.repeats,
             },
-            "save_seconds": {"v1": save_v1, "v2": save_v2},
-            "snapshot_bytes": {
-                "v1": directory_bytes(v1_dir),
-                "v2": directory_bytes(v2_dir),
-            },
+            "save_seconds": save_seconds,
+            "snapshot_bytes": directory_bytes(snapshot),
             "cold_start": cold,
             "restart_recovery": restart,
-            "cold_start_speedup_mmap": speedup_cold,
-            "restart_recovery_speedup_mmap": speedup_restart,
             "fingerprints_identical": identical,
         }
     finally:
@@ -289,19 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(
-        f"\ncold start: v1 {cold['v1']['total_seconds']:.2f}s -> "
-        f"v2 mmap {cold['v2_mmap']['total_seconds']:.2f}s "
-        f"({speedup_cold:.2f}x); restart: {restart['v1']['total_seconds']:.2f}s"
-        f" -> {restart['v2_mmap']['total_seconds']:.2f}s "
-        f"({speedup_restart:.2f}x)"
+        f"\ncold start {cold['total_seconds']:.2f}s "
+        f"({cold['rss_mb']:.1f} MB peak); restart "
+        f"{restart['total_seconds']:.2f}s ({restart['rss_mb']:.1f} MB peak)"
     )
-    if not args.smoke and speedup_cold < SPEEDUP_GATE:
-        print(
-            f"FAIL: v2 mmap cold start {speedup_cold:.2f}x < "
-            f"{SPEEDUP_GATE}x gate",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

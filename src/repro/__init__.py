@@ -32,10 +32,8 @@ from .core import (
     TrajectoryPatternTree,
     discover_frequent_regions,
     load_fleet,
-    load_model,
     mine_trajectory_patterns,
     save_fleet,
-    save_model,
 )
 from .motion import LinearMotionFunction, MotionFunction, RecursiveMotionFunction
 from .trajectory import (
@@ -73,8 +71,6 @@ __all__ = [
     "__version__",
     "discover_frequent_regions",
     "load_fleet",
-    "load_model",
     "mine_trajectory_patterns",
     "save_fleet",
-    "save_model",
 ]

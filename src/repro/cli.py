@@ -1,19 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven subcommands cover the library's operational loop:
+Six subcommands cover the library's operational loop:
 
 * ``synth``    — generate one of the paper's scenario datasets to CSV;
-* ``mine``     — fit an HPM on a trajectory CSV and save the model;
-* ``fit``      — fit a whole fleet (one object per trajectory CSV) in
-  parallel and write a fleet snapshot directory;
-* ``predict``  — answer a predictive query against a saved model;
+* ``fit``      — fit a fleet (one object per trajectory CSV, object id =
+  file stem) in parallel and write a fleet snapshot directory;
+* ``predict``  — answer a predictive query for one object of a snapshot;
 * ``evaluate`` — run an HPM-vs-RMF accuracy comparison on a dataset CSV;
-* ``serve``    — run the asyncio prediction service over a saved model
-  or fleet snapshot (see :mod:`repro.serve`);
+* ``serve``    — run the asyncio prediction service over a fleet
+  snapshot (see :mod:`repro.serve`);
 * ``loadgen``  — replay a trajectory workload against a running server
   and report throughput/latency.
 
-Sharded serving (see :mod:`repro.serve.shard`) adds three more:
+Sharded serving (see :mod:`repro.serve.shard`) adds three more, and
+``snapshot-stat`` prints a snapshot's layout:
 
 * ``shard-serve``    — consistent-hash router + N shard-worker
   processes over one fleet snapshot, one listening port;
@@ -33,7 +33,6 @@ import numpy as np
 
 from .core.config import HPMConfig
 from .core.model import HybridPredictionModel
-from .core.persistence import load_model, save_model
 from .datagen import SCENARIO_NAMES, make_dataset
 from .trajectory.io import load_trajectory, save_trajectory
 from .trajectory.point import TimedPoint
@@ -54,15 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--subtrajectories", type=int, default=80)
     synth.add_argument("--period", type=int, default=300)
     synth.add_argument("--seed", type=int, default=None)
-
-    mine = sub.add_parser("mine", help="fit an HPM on a trajectory CSV")
-    mine.add_argument("input", help="trajectory CSV (t,x,y)")
-    mine.add_argument("-o", "--output", required=True, help="model .npz path")
-    mine.add_argument("--period", type=int, required=True)
-    mine.add_argument("--eps", type=float, default=30.0)
-    mine.add_argument("--min-pts", type=int, default=4)
-    mine.add_argument("--min-confidence", type=float, default=0.3)
-    mine.add_argument("--distant-threshold", type=int, default=None)
 
     fit = sub.add_parser(
         "fit", help="fit a fleet from trajectory CSVs (parallel) to a snapshot"
@@ -93,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool kind; 'thread' when fork is unavailable",
     )
 
-    predict = sub.add_parser("predict", help="query a saved model")
-    predict.add_argument("model", help="model .npz from `repro mine`")
+    predict = sub.add_parser("predict", help="query one object of a fleet snapshot")
+    predict.add_argument("snapshot", help="fleet snapshot directory from `repro fit`")
+    predict.add_argument("--object-id", required=True,
+                         help="object to query (the trajectory CSV's file stem)")
     predict.add_argument(
         "--recent",
         required=True,
@@ -116,19 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
-        "serve", help="run the asyncio prediction service over a saved model"
+        "serve", help="run the asyncio prediction service over a fleet snapshot"
     )
-    serve.add_argument(
-        "model",
-        help="model .npz from `repro mine` or a fleet snapshot directory",
-    )
+    serve.add_argument("snapshot", help="fleet snapshot directory from `repro fit`")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
-        "--object-id",
-        default="default",
-        help="object id assigned to a single-model .npz (ignored for snapshots)",
-    )
     serve.add_argument("--cache-entries", type=int, default=4096,
                        help="LRU capacity of the prediction cache")
     serve.add_argument("--cache-ttl", type=float, default=30.0,
@@ -229,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_worker.add_argument("--refit-full-every", type=int, default=None)
     shard_worker.add_argument("--gap-policy", choices=("reject", "pad"),
                               default="reject")
-    shard_worker.add_argument("--no-mmap", dest="mmap", action="store_false",
-                              help="materialize v2 snapshot blocks instead of "
-                                   "memory-mapping them")
 
     shard_snapshot = sub.add_parser(
         "shard-snapshot",
@@ -251,18 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss_merge.add_argument("source", help="sharded snapshot directory")
     ss_merge.add_argument("-o", "--output", required=True,
                           help="fleet snapshot output directory")
-
-    convert = sub.add_parser(
-        "snapshot-convert",
-        help="convert a fleet snapshot between formats (v1 npz <-> v2 packed)",
-    )
-    convert.add_argument("source", help="fleet snapshot directory")
-    convert.add_argument("-o", "--output", required=True,
-                         help="converted snapshot output directory")
-    convert.add_argument("--to", type=int, choices=(1, 2), default=2,
-                         dest="target_format",
-                         help="target format version (default: 2)")
-    convert.add_argument("--max-workers", type=int, default=None)
 
     stat = sub.add_parser(
         "snapshot-stat",
@@ -322,18 +291,6 @@ def _config_from(args) -> HPMConfig:
     )
 
 
-def _cmd_mine(args) -> int:
-    trajectory = load_trajectory(args.input)
-    model = HybridPredictionModel(_config_from(args))
-    model.fit(trajectory)
-    save_model(model, args.output)
-    print(
-        f"wrote {args.output}: {len(model.regions_)} frequent regions, "
-        f"{model.pattern_count} trajectory patterns"
-    )
-    return 0
-
-
 def _cmd_fit(args) -> int:
     from .core.fleet import FleetFitError, FleetPredictionModel
     from .core.persistence import save_fleet
@@ -372,9 +329,7 @@ def _cmd_fit(args) -> int:
 
 
 def _fit_phase_line(totals: dict[str, float]) -> str:
-    """Human-readable per-phase fit time, e.g. for `repro fit` output."""
-    if not totals:
-        return "fit phases: (no timing recorded)"
+    """Human-readable per-phase fit time for `repro fit` output."""
     parts = ", ".join(
         f"{phase}={totals[phase]:.2f}s"
         for phase in ("cluster", "mine", "index")
@@ -396,7 +351,10 @@ def _parse_recent(spec: str) -> list[TimedPoint]:
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
+    from .core.persistence import load_fleet
+
+    fleet = load_fleet(args.snapshot, object_ids=[args.object_id])
+    model = fleet[args.object_id]
     recent = _parse_recent(args.recent)
     predictions = model.predict(recent, args.time, k=args.k)
     for rank, p in enumerate(predictions, 1):
@@ -419,7 +377,7 @@ def _cmd_evaluate(args) -> int:
         name=Path(args.input).stem, trajectory=trajectory, period=args.period
     )
 
-    class _A:  # reuse the mine-config plumbing
+    class _A:  # reuse the fit-config plumbing
         period = args.period
         eps = 30.0
         min_pts = 4
@@ -447,8 +405,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .core.fleet import FleetPredictionModel
-    from .core.persistence import load_fleet
     from .serve import (
         ChaosConfig,
         PredictionServer,
@@ -456,14 +412,6 @@ def _cmd_serve(args) -> int:
         ServeConfig,
     )
 
-    path = Path(args.model)
-    if path.is_dir():
-        fleet = load_fleet(path, max_workers=args.warmup_workers)
-        print(f"warmed up {len(fleet)} object(s); {_fit_phase_line(fleet.fit_phase_totals())}")
-    else:
-        model = load_model(path)
-        fleet = FleetPredictionModel(model.config)
-        fleet.adopt_object(args.object_id, model)
     chaos = None
     if args.chaos_latency > 0 or args.chaos_errors > 0 or args.chaos_drops > 0:
         chaos = ChaosConfig(
@@ -492,13 +440,15 @@ def _cmd_serve(args) -> int:
         max_body_bytes=args.max_body_bytes,
         chaos=chaos,
     )
-    service = PredictionService(fleet, config)
+    service = PredictionService.from_snapshot(
+        args.snapshot, config, warmup_workers=args.warmup_workers
+    )
     server = PredictionServer(service, host=args.host, port=args.port)
 
     async def run() -> None:
         await server.start()
         print(
-            f"serving {len(fleet)} object(s) on "
+            f"serving {len(service.fleet)} object(s) on "
             f"http://{args.host}:{server.port} (Ctrl-C to stop)"
         )
         await server.run_forever(handle_signals=True)
@@ -596,7 +546,6 @@ def _cmd_shard_worker(args) -> int:
                 config=config,
                 grace=args.grace,
                 max_workers=args.warmup_workers,
-                mmap=args.mmap,
             )
         )
     except KeyboardInterrupt:
@@ -627,25 +576,10 @@ def _cmd_shard_snapshot(args) -> int:
     return 0
 
 
-def _cmd_snapshot_convert(args) -> int:
-    from .core.persistence import convert_snapshot
-
-    count = convert_snapshot(
-        args.source,
-        args.output,
-        format=args.target_format,
-        max_workers=args.max_workers,
-    )
-    print(
-        f"wrote {args.output}: {count} object(s) as format v{args.target_format}"
-    )
-    return 0
-
-
 def _cmd_snapshot_stat(args) -> int:
     import json as _json
 
-    from .core.snapshot2 import snapshot_stat
+    from .core.persistence import snapshot_stat
 
     print(_json.dumps(snapshot_stat(args.source), indent=2))
     return 0
@@ -691,7 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "synth": _cmd_synth,
-        "mine": _cmd_mine,
         "fit": _cmd_fit,
         "predict": _cmd_predict,
         "evaluate": _cmd_evaluate,
@@ -699,7 +632,6 @@ def main(argv: list[str] | None = None) -> int:
         "shard-serve": _cmd_shard_serve,
         "shard-worker": _cmd_shard_worker,
         "shard-snapshot": _cmd_shard_snapshot,
-        "snapshot-convert": _cmd_snapshot_convert,
         "snapshot-stat": _cmd_snapshot_stat,
         "loadgen": _cmd_loadgen,
     }

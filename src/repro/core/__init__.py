@@ -6,7 +6,7 @@ from .fleet import FleetFitError, FleetPredictionModel
 from .keys import KeyCodec, PatternKey
 from .model import HybridPredictionModel
 from .online import OnlineTracker
-from .persistence import load_fleet, load_model, save_fleet, save_model
+from .persistence import load_fleet, save_fleet
 from .patterns import (
     PatternMiningStats,
     TrajectoryPattern,
@@ -72,11 +72,9 @@ __all__ = [
     "explain_query",
     "fqp_score",
     "load_fleet",
-    "load_model",
     "mine_trajectory_patterns",
     "premise_similarity",
     "premise_weights",
     "region_visit_masks",
     "save_fleet",
-    "save_model",
 ]

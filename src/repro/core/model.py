@@ -398,7 +398,7 @@ class HybridPredictionModel:
 
         ``tree_packed`` optionally supplies the serialised TPT structure
         ``(entry_signatures, entry_pattern_rows, node_signatures)`` from a
-        v2 snapshot (:mod:`repro.core.snapshot2`), letting the index
+        fleet snapshot (:mod:`repro.core.persistence`), letting the index
         rebuild skip key encoding, sorting and union derivation while
         producing a tree structurally identical to a fresh bulk load.
         """

@@ -1,326 +1,733 @@
-"""Saving and loading fitted models.
+"""Saving and loading fitted fleets: the packed snapshot format.
 
 Mining is the expensive phase (DBSCAN over every offset group plus the
 rule lattice); deployments fit once and answer queries for days.  A
-fitted :class:`~repro.core.model.HybridPredictionModel` serialises to a
-single ``.npz`` archive:
+fitted :class:`~repro.core.fleet.FleetPredictionModel` — one object or
+many — is stored with :func:`save_fleet` and reloaded with
+:func:`load_fleet`.  There is one on-disk format (``format_version``
+2): the **whole fleet** packed into a small fixed set of flat ``.npy``
+blocks plus a JSON manifest carrying a per-object ``[start, end)``
+index into every block:
 
-* config and metadata as a JSON blob;
-* the training history as one array (so ``update`` keeps working after a
-  reload);
-* regions as packed arrays (points concatenated with an index);
-* patterns as integer tables referencing regions by their canonical id.
+``manifest.json``
+    ``format_version`` 2, the fleet config, the weight-family the stored
+    kernels were packed for, the global pattern-table premise width, the
+    signature byte width, the expected shape of every block (load-time
+    truncation check), and the per-object offset index.
 
-The TPT is *not* stored — it rebuilds from the patterns in well under a
-second via the bottom-up bulk load, which keeps the format trivial and
-version-stable.
+``block_<name>.npy`` (little-endian ``<f8`` / ``<i8``; signatures ``u1``)
+    ========================  ========  =======================================
+    name                      shape     contents
+    ========================  ========  =======================================
+    history                   (H, 2)    all training positions, concatenated
+    region_rows               (R, 4)    offset, index, n_points, n_subs
+    region_geo                (R, 6)    center_x, center_y, min/max x, y
+    region_points             (P, 2)    member points, concatenated
+    region_sub_ids            (S,)      contributing sub-trajectory ids
+    pattern_rows              (N, W+2)  premise region ids (−1 padded),
+                                        consequence id, support
+    pattern_conf              (N,)      pattern confidences
+    tree_entry_sigs           (E, Sb)   leaf-entry signatures, bulk-load
+                                        order, little-endian byte rows
+    tree_entry_pattern        (E,)      pattern row of each leaf entry
+    tree_node_sigs            (I, Sb)   internal-node signatures, bottom-up
+                                        level order (root last)
+    kernel_buckets            (B, 3)    time_id, n_rows, table width
+    kernel_rows               (K, 4)    seq, pattern row, support, cons offset
+    kernel_conf               (K,)      candidate confidences
+    kernel_cells_cols         (C,)      flattened sparse ``bit_cols``
+    kernel_cells_weights      (C,)      flattened sparse ``bit_weights``
+    ========================  ========  =======================================
 
-A whole :class:`~repro.core.fleet.FleetPredictionModel` serialises as a
-**fleet snapshot** in one of two formats:
+Snapshots written while the kernel still carried velocity-filter speeds
+also hold a ``kernel_minspeed`` block and four retired config keys; the
+loader and the repack path ignore both, so those snapshots keep loading
+(see :meth:`HPMConfig.from_dict`).  Any other ``format_version`` — the
+retired one-``.npz``-per-object layout (format 1) included — and a bare
+single-model ``.npz`` file are rejected with ``ValueError``.
 
-* **v1** — a directory with one ``.npz`` per object plus a
-  ``manifest.json`` mapping object ids to files (archival format, kept
-  readable and writable forever);
-* **v2** (the default) — packed columnar blocks with a per-object offset
-  index, memory-mappable for zero-copy cold starts; see
-  :mod:`repro.core.snapshot2` for the layout specification.
+Because the blocks are raw ``.npy`` files (not a zip archive),
+``np.load(mmap_mode="r")`` maps them zero-copy: a loader slices views out
+of the read-only mapped blocks instead of decompressing and rebuilding,
+so a shard worker restricted to its ring slice touches only the pages
+its objects occupy, and services on one host share the page cache.
+Region centers and bounding boxes are **stored** rather than recomputed
+— float reductions are accumulation-order sensitive and the SHA-256
+state fingerprints must stay byte-identical to the fitted model.
 
-``load_fleet`` dispatches on the manifest's ``format_version``, so the
-serving layer (:mod:`repro.serve`) loads either transparently.
+The tree and score-kernel blocks are extracted at save time from a
+throwaway bulk-loaded tree (never from the live tree, which a delta
+refit may have patched into a different structure and DFS entry order)
+so the stored layout matches exactly what a from-scratch bulk load would
+produce.  The loader then replays the stored structure through
+``bulk_load_packed`` — no key encoding, sorting, or signature OR-ing —
+reassembles :class:`~repro.core.scorekernel.ScoreKernel` from views, and
+primes the tree's kernel cache, making the first prediction skip the
+full ``ScoreKernel.build`` pass.
+
+Copy-on-write discipline: mapped blocks are read-only.  Every mutation
+path (``update``/delta refit) already *constructs new arrays* for the
+state it changes and leaves untouched regions interned — so a refit on a
+loaded model transparently materialises private copies of only the
+arrays it patches, and an accidental in-place write raises immediately.
+Saving never writes into a file another process may have mapped: each
+block and then the manifest is written under a temporary name and
+renamed into place, so models already loaded from a directory keep their
+old pages when a new snapshot is saved over it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from ..trajectory.trajectory import Trajectory
 from .config import HPMConfig
 from .fleet import FleetPredictionModel
+from .keys import KeyCodec
 from .model import HybridPredictionModel
 from .parallel import run_keyed_tasks
 from .patterns import TrajectoryPattern
+from .regions import RegionSet, regions_from_arrays
+from .scorekernel import CandidatePack, ScoreKernel
+from .tpt import TrajectoryPatternTree
 
 __all__ = [
-    "save_model",
-    "load_model",
-    "save_fleet",
+    "FORMAT_VERSION",
     "load_fleet",
-    "convert_snapshot",
+    "read_manifest",
+    "repack_snapshot",
+    "save_fleet",
+    "snapshot_stat",
 ]
 
-_FORMAT_VERSION = 1
-_FLEET_FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _MANIFEST = "manifest.json"
 
+# Block name -> (dtype, trailing shape).  Dtypes are explicit little-endian;
+# on the (rare) big-endian host the loader materialises native copies.
+_BLOCK_SPECS: dict[str, tuple[str, tuple[int, ...]]] = {
+    "history": ("<f8", (2,)),
+    "region_rows": ("<i8", (4,)),
+    "region_geo": ("<f8", (6,)),
+    "region_points": ("<f8", (2,)),
+    "region_sub_ids": ("<i8", ()),
+    "pattern_rows": ("<i8", None),  # trailing dim is premise_width + 2
+    "pattern_conf": ("<f8", ()),
+    "tree_entry_sigs": ("u1", None),  # trailing dim is sig_bytes
+    "tree_entry_pattern": ("<i8", ()),
+    "tree_node_sigs": ("u1", None),  # trailing dim is sig_bytes
+    "kernel_buckets": ("<i8", (3,)),
+    "kernel_rows": ("<i8", (4,)),
+    "kernel_conf": ("<f8", ()),
+    "kernel_cells_cols": ("<i8", ()),
+    "kernel_cells_weights": ("<f8", ()),
+}
 
-def save_model(model: HybridPredictionModel, path: str | Path) -> None:
-    """Serialise a fitted model to ``path`` (.npz)."""
-    if not model.is_fitted:
-        raise ValueError("cannot save an unfitted model")
-    path = Path(path)
+
+def _block_path(directory: Path, name: str) -> Path:
+    return directory / f"block_{name}.npy"
+
+
+# ----------------------------------------------------------------------
+# save side: per-object array extraction
+# ----------------------------------------------------------------------
+def _object_arrays(model: HybridPredictionModel, kind: str) -> dict:
+    """Columnar arrays for one fitted model (the writer's unit of work).
+
+    ``kind`` selects the weight family the kernel tables are packed for
+    (the fleet config's ``weight_function``).  Returns plain numpy arrays
+    keyed by block name plus ``start_time`` and optional ``tree`` and
+    ``kernel`` sub-dicts; :func:`_write_snapshot` concatenates them.
+    """
     regions = model.regions_
     history = model.history_
-
-    region_rows = []
-    points_blocks = []
-    sub_id_blocks = []
-    for region in regions:
-        region_rows.append(
-            [
-                region.offset,
-                region.index,
-                len(region.points),
-                len(region.subtrajectory_ids),
-            ]
+    num_regions = len(regions)
+    region_rows = np.empty((num_regions, 4), dtype=np.int64)
+    region_geo = np.empty((num_regions, 6), dtype=np.float64)
+    points_blocks: list[np.ndarray] = []
+    sub_blocks: list[np.ndarray] = []
+    for i, region in enumerate(regions):
+        region_rows[i] = (
+            region.offset,
+            region.index,
+            region.points.shape[0],
+            len(region.subtrajectory_ids),
         )
-        points_blocks.append(region.points)
-        sub_id_blocks.append(np.asarray(region.subtrajectory_ids, dtype=np.int64))
+        bbox = region.bbox
+        region_geo[i] = (
+            region.center.x,
+            region.center.y,
+            bbox.min_x,
+            bbox.min_y,
+            bbox.max_x,
+            bbox.max_y,
+        )
+        points_blocks.append(np.asarray(region.points, dtype=np.float64))
+        sub_blocks.append(np.asarray(region.subtrajectory_ids, dtype=np.int64))
 
-    # Patterns as integer tables: premise region ids (padded with -1),
-    # consequence id, support; confidences as a float column.
-    max_premise = max((len(p.premise) for p in model.patterns_), default=1)
+    patterns = model.patterns_
+    max_premise = max((len(p.premise) for p in patterns), default=1)
     pattern_rows = np.full(
-        (len(model.patterns_), max_premise + 2), -1, dtype=np.int64
+        (len(patterns), max_premise + 2), -1, dtype=np.int64
     )
-    confidences = np.empty(len(model.patterns_), dtype=np.float64)
-    for i, pattern in enumerate(model.patterns_):
+    pattern_conf = np.empty(len(patterns), dtype=np.float64)
+    region_id = regions.region_id
+    for i, pattern in enumerate(patterns):
         for j, region in enumerate(pattern.premise):
-            pattern_rows[i, j] = regions.region_id(region)
-        pattern_rows[i, max_premise] = regions.region_id(pattern.consequence)
+            pattern_rows[i, j] = region_id(region)
+        pattern_rows[i, max_premise] = region_id(pattern.consequence)
         pattern_rows[i, max_premise + 1] = pattern.support
-        confidences[i] = pattern.confidence
+        pattern_conf[i] = pattern.confidence
 
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "config": dataclasses.asdict(model.config),
-        "history_start_time": history.start_time,
-        "max_premise": max_premise,
-    }
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        history=history.positions,
-        region_rows=np.asarray(region_rows, dtype=np.int64).reshape(-1, 4),
-        region_points=(
-            np.vstack(points_blocks) if points_blocks else np.empty((0, 2))
+    return {
+        "start_time": history.start_time,
+        "history": np.asarray(history.positions, dtype=np.float64),
+        "region_rows": region_rows,
+        "region_geo": region_geo,
+        "region_points": (
+            np.vstack(points_blocks)
+            if points_blocks
+            else np.empty((0, 2), dtype=np.float64)
         ),
-        region_sub_ids=(
-            np.concatenate(sub_id_blocks)
-            if sub_id_blocks
+        "region_sub_ids": (
+            np.concatenate(sub_blocks)
+            if sub_blocks
             else np.empty(0, dtype=np.int64)
         ),
-        pattern_rows=pattern_rows,
-        confidences=confidences,
-    )
+        "pattern_rows": pattern_rows,
+        "pattern_conf": pattern_conf,
+        **_extract_index_arrays(model.config, regions, patterns, kind),
+    }
 
 
-def load_model(path: str | Path) -> HybridPredictionModel:
-    """Reload a model saved by :func:`save_model`.
+def _sig_rows(signatures: Iterable[int], count: int, width: int) -> np.ndarray:
+    """Pack arbitrary-precision signatures as ``(count, width)`` uint8 rows
+    (little-endian byte order; trailing padding bytes are zero)."""
+    buf = bytearray(count * width)
+    for i, signature in enumerate(signatures):
+        buf[i * width : (i + 1) * width] = signature.to_bytes(width, "little")
+    return np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, width)
 
-    Regions and patterns are restored verbatim (no re-mining); the TPT is
-    rebuilt by bulk load.
+
+def _extract_index_arrays(
+    config: HPMConfig,
+    regions: RegionSet,
+    patterns: Sequence[TrajectoryPattern],
+    kind: str,
+) -> dict:
+    """Serialised TPT structure and kernel blocks, in canonical order.
+
+    A live tree may have been delta-patched (insert/delete), which
+    perturbs both its packed structure and the DFS ``seq`` numbering,
+    while every snapshot *load* bulk loads from scratch — so both the
+    tree blocks and the kernel arrays are extracted from a throwaway
+    bulk-loaded tree, guaranteeing the stored structure matches what the
+    loader will reconstruct.  Returns ``{"tree": ..., "kernel": ...}``
+    (either may be ``None``).
     """
-    path = Path(path)
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported model format {meta.get('format_version')}"
-            )
-        config = HPMConfig.from_dict(meta["config"])
-        history = Trajectory(
-            archive["history"], start_time=int(meta["history_start_time"])
+    if not patterns or len(regions) == 0:
+        return {"tree": None, "kernel": None}
+    codec = KeyCodec.from_patterns(regions, patterns)
+    tree = TrajectoryPatternTree(
+        codec,
+        max_entries=config.tree_max_entries,
+        min_entries=config.tree_min_entries,
+    )
+    tree.bulk_load_patterns(list(patterns))
+    pattern_row = {id(p): i for i, p in enumerate(patterns)}
+
+    entries, node_signatures = tree.export_packed()
+    sig_bytes = max(1, (tree.signature_bits + 7) // 8)
+    tree_arrays = {
+        "sig_bytes": sig_bytes,
+        "tree_entry_sigs": _sig_rows(
+            (e.signature for e in entries), len(entries), sig_bytes
+        ),
+        "tree_entry_pattern": np.fromiter(
+            (pattern_row[id(e.payload)] for e in entries),
+            dtype=np.int64,
+            count=len(entries),
+        ),
+        "tree_node_sigs": _sig_rows(
+            node_signatures, len(node_signatures), sig_bytes
+        ),
+    }
+
+    kernel = tree.score_kernel(kind)
+    buckets: list[tuple[int, int, int]] = []
+    row_blocks: list[np.ndarray] = []
+    conf_blocks: list[np.ndarray] = []
+    col_blocks: list[np.ndarray] = []
+    weight_blocks: list[np.ndarray] = []
+    for time_id, pack in kernel.export_buckets():
+        buckets.append((time_id, pack.n, pack.width))
+        rows = np.empty((pack.n, 4), dtype=np.int64)
+        rows[:, 0] = pack.seqs
+        rows[:, 1] = np.fromiter(
+            (pattern_row[id(p)] for p in pack.patterns),
+            dtype=np.int64,
+            count=pack.n,
         )
-        region_rows = archive["region_rows"]
-        region_points = archive["region_points"]
-        region_sub_ids = archive["region_sub_ids"]
-        pattern_rows = archive["pattern_rows"]
-        confidences = archive["confidences"]
-
-    from ..trajectory.point import BoundingBox, Point
-    from .regions import FrequentRegion, RegionSet
-
-    # Per-region bounds in two reduceat passes instead of a Python loop
-    # over every member point.  min/max are accumulation-order free, so
-    # the results are bit-identical to BoundingBox.from_points; centers
-    # keep the per-region pairwise mean (reduction order matters there).
-    counts = region_rows[:, 2].astype(np.intp)
-    if counts.size and counts.min() > 0 and region_points.shape[0]:
-        starts = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        mins = np.minimum.reduceat(region_points, starts, axis=0)
-        maxs = np.maximum.reduceat(region_points, starts, axis=0)
-    else:
-        mins = maxs = None
-
-    regions_list = []
-    point_cursor = 0
-    sub_cursor = 0
-    for i, (offset, index, num_points, num_subs) in enumerate(region_rows):
-        points = region_points[point_cursor : point_cursor + num_points].copy()
-        point_cursor += num_points
-        sub_ids = tuple(
-            int(s) for s in region_sub_ids[sub_cursor : sub_cursor + num_subs]
+        rows[:, 2] = pack.supports
+        rows[:, 3] = pack.cons_offsets
+        row_blocks.append(rows)
+        conf_blocks.append(pack.confidences)
+        col_blocks.append(
+            np.asarray(pack.bit_cols, dtype=np.int64).reshape(-1)
         )
-        sub_cursor += num_subs
-        center = points.mean(axis=0)
-        if mins is not None:
-            bbox = BoundingBox(
-                float(mins[i, 0]),
-                float(mins[i, 1]),
-                float(maxs[i, 0]),
-                float(maxs[i, 1]),
-            )
+        weight_blocks.append(pack.bit_weights.reshape(-1))
+    kernel_arrays = {
+        "kernel_buckets": np.asarray(buckets, dtype=np.int64).reshape(-1, 3),
+        "kernel_rows": (
+            np.concatenate(row_blocks)
+            if row_blocks
+            else np.empty((0, 4), dtype=np.int64)
+        ),
+        "kernel_conf": (
+            np.concatenate(conf_blocks)
+            if conf_blocks
+            else np.empty(0, dtype=np.float64)
+        ),
+        "kernel_cells_cols": (
+            np.concatenate(col_blocks)
+            if col_blocks
+            else np.empty(0, dtype=np.int64)
+        ),
+        "kernel_cells_weights": (
+            np.concatenate(weight_blocks)
+            if weight_blocks
+            else np.empty(0, dtype=np.float64)
+        ),
+    }
+    return {"tree": tree_arrays, "kernel": kernel_arrays}
+
+
+# ----------------------------------------------------------------------
+# save side: the packed writer
+# ----------------------------------------------------------------------
+def _pad_pattern_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Re-pad a ``(N, w+2)`` pattern table to global premise width."""
+    local = rows.shape[1] - 2
+    if local == width:
+        return rows
+    out = np.full((rows.shape[0], width + 2), -1, dtype=np.int64)
+    out[:, :local] = rows[:, :local]
+    out[:, width] = rows[:, local]
+    out[:, width + 1] = rows[:, local + 1]
+    return out
+
+
+def _pad_sig_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Widen uint8 signature rows to the global byte width.
+
+    Signatures are little-endian, so the padding bytes go on the right
+    and the decoded integers are unchanged.
+    """
+    if rows.shape[1] == width:
+        return rows
+    out = np.zeros((rows.shape[0], width), dtype=np.uint8)
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
+def _write_snapshot(
+    directory: str | Path,
+    config: dict,
+    kernel_kind: str,
+    entries: Sequence[tuple[str, dict]],
+) -> None:
+    """Write a snapshot from per-object array dicts.
+
+    ``entries`` is the deterministic manifest order: the same objects in
+    the same order always produce byte-identical blocks.  Every file is
+    written under a temporary name and renamed into place, the manifest
+    last, so a manifest on disk implies complete blocks and a fleet
+    already loaded from ``directory`` keeps mapping the old files.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    premise_width = max(
+        (arrays["pattern_rows"].shape[1] - 2 for _oid, arrays in entries),
+        default=1,
+    )
+    sig_bytes = max(
+        (
+            arrays["tree"]["sig_bytes"]
+            for _oid, arrays in entries
+            if arrays.get("tree") is not None
+        ),
+        default=1,
+    )
+    concat: dict[str, list[np.ndarray]] = {name: [] for name in _BLOCK_SPECS}
+    cursors = {name: 0 for name in _BLOCK_SPECS}
+    objects: dict[str, dict] = {}
+
+    def _append(name: str, arr: np.ndarray) -> list[int]:
+        start = cursors[name]
+        cursors[name] = start + arr.shape[0]
+        concat[name].append(arr)
+        return [start, cursors[name]]
+
+    for object_id, arrays in entries:
+        entry = {
+            "start_time": int(arrays["start_time"]),
+            "history": _append("history", arrays["history"]),
+            "regions": _append("region_rows", arrays["region_rows"]),
+            "points": _append("region_points", arrays["region_points"]),
+            "sub_ids": _append("region_sub_ids", arrays["region_sub_ids"]),
+            "patterns": _append(
+                "pattern_rows",
+                _pad_pattern_rows(arrays["pattern_rows"], premise_width),
+            ),
+        }
+        _append("region_geo", arrays["region_geo"])
+        _append("pattern_conf", arrays["pattern_conf"])
+        tree = arrays.get("tree")
+        if tree is None:
+            entry["tree"] = None
         else:
-            bbox = BoundingBox.from_points(
-                [(float(x), float(y)) for x, y in points]
-            )
-        regions_list.append(
-            FrequentRegion(
-                offset=int(offset),
-                index=int(index),
-                center=Point(float(center[0]), float(center[1])),
-                points=points,
-                bbox=bbox,
-                subtrajectory_ids=sub_ids,
-            )
-        )
-    region_set = RegionSet(regions_list, period=config.period, eps=config.eps)
+            entry["tree"] = {
+                "entries": _append(
+                    "tree_entry_sigs",
+                    _pad_sig_rows(tree["tree_entry_sigs"], sig_bytes),
+                ),
+                "nodes": _append(
+                    "tree_node_sigs",
+                    _pad_sig_rows(tree["tree_node_sigs"], sig_bytes),
+                ),
+            }
+            _append("tree_entry_pattern", tree["tree_entry_pattern"])
+        kernel = arrays.get("kernel")
+        if kernel is None:
+            entry["kernel"] = None
+        else:
+            entry["kernel"] = {
+                "buckets": _append("kernel_buckets", kernel["kernel_buckets"]),
+                "rows": _append("kernel_rows", kernel["kernel_rows"]),
+                "cells": _append(
+                    "kernel_cells_cols", kernel["kernel_cells_cols"]
+                ),
+            }
+            _append("kernel_conf", kernel["kernel_conf"])
+            _append("kernel_cells_weights", kernel["kernel_cells_weights"])
+        objects[object_id] = entry
 
-    max_premise = int(meta["max_premise"])
-    patterns = []
-    for row, confidence in zip(pattern_rows, confidences):
-        premise = tuple(
-            region_set[int(rid)] for rid in row[:max_premise] if rid >= 0
-        )
-        patterns.append(
-            TrajectoryPattern(
-                premise=premise,
-                consequence=region_set[int(row[max_premise])],
-                support=int(row[max_premise + 1]),
-                confidence=float(confidence),
+    dynamic_trailing = {
+        "pattern_rows": (premise_width + 2,),
+        "tree_entry_sigs": (sig_bytes,),
+        "tree_node_sigs": (sig_bytes,),
+    }
+    shapes: dict[str, list[int]] = {}
+    for name, (dtype, trailing) in _BLOCK_SPECS.items():
+        if trailing is None:
+            trailing = dynamic_trailing[name]
+        parts = concat[name]
+        if parts:
+            block = np.concatenate(parts, axis=0)
+        else:
+            block = np.empty((0, *trailing))
+        block = np.ascontiguousarray(block, dtype=np.dtype(dtype))
+        if block.shape[1:] != tuple(trailing):
+            raise ValueError(
+                f"block {name}: shape {block.shape} does not match "
+                f"spec trailing dims {trailing}"
             )
+        _replace_file(
+            _block_path(directory, name), lambda f: np.save(f, block)
         )
+        shapes[name] = list(block.shape)
 
-    model = HybridPredictionModel(config)
-    model._restore(history, region_set, patterns)
-    return model
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "config": config,
+        "kernel_kind": kernel_kind,
+        "premise_width": premise_width,
+        "sig_bytes": sig_bytes,
+        "blocks": shapes,
+        "objects": objects,
+    }
+    text = json.dumps(manifest, indent=2).encode("utf-8")
+    _replace_file(directory / _MANIFEST, lambda f: f.write(text))
+
+
+def _replace_file(path: Path, write) -> None:
+    """Write ``path`` via ``write(file)`` on a temporary name, then rename.
+
+    ``os.replace`` swaps the directory entry atomically; a reader that
+    mapped the old file keeps its inode, so saving over a loaded
+    snapshot never rewrites the pages a live model is using.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        write(f)
+    os.replace(tmp, path)
 
 
 def save_fleet(
     fleet: FleetPredictionModel,
     directory: str | Path,
     *,
-    format: int = 2,
     max_workers: int | None = None,
-    executor: str = "thread",
 ) -> None:
-    """Serialise a fleet to a snapshot directory.
+    """Serialise a fleet as a snapshot directory.
 
-    ``format=2`` (the default) writes the packed columnar layout of
-    :mod:`repro.core.snapshot2`; ``format=1`` writes the archival
-    one-``.npz``-per-object layout (filenames are positional so
-    arbitrary object ids never have to be path-safe).  Either way the
-    per-object serialisation work fans out over
-    :func:`~repro.core.parallel.run_keyed_tasks` with ``max_workers``
-    concurrency, while the manifest keeps ``fleet.object_ids()`` order —
-    the output is deterministic regardless of worker count.  Existing
-    snapshot files in the directory are replaced.
+    Per-object array extraction (which includes packing the kernel tables
+    from a throwaway bulk-loaded tree) fans out over a thread pool of
+    ``max_workers``; the concatenation and block writes are serial in
+    ``fleet.object_ids()`` order, keeping the output byte-identical
+    regardless of worker count.  Existing snapshot files in the
+    directory are replaced.
     """
-    if format == 2:
-        from .snapshot2 import save_fleet_v2
-
-        save_fleet_v2(
-            fleet, directory, max_workers=max_workers, executor=executor
-        )
-        return
-    if format != 1:
-        raise ValueError(f"unsupported fleet snapshot format {format}")
     if len(fleet) == 0:
         raise ValueError("cannot save an empty fleet")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    kind = fleet.config.weight_function
     object_ids = fleet.object_ids()
-    objects: dict[str, str] = {
-        object_id: f"object_{index:04d}.npz"
-        for index, object_id in enumerate(object_ids)
-    }
-    jobs = [
-        (object_id, (fleet[object_id], directory / objects[object_id]))
-        for object_id in object_ids
-    ]
-    _results, failures = run_keyed_tasks(
-        save_model, jobs, max_workers=max_workers, executor=executor
+    jobs = [(oid, (fleet[oid], kind)) for oid in object_ids]
+    results, failures = run_keyed_tasks(
+        _object_arrays, jobs, max_workers=max_workers, executor="thread"
     )
     if failures:
-        # Surface the first failure in manifest order, as a serial save would.
         for object_id in object_ids:
             if object_id in failures:
                 raise failures[object_id]
-    manifest = {
-        "format_version": _FLEET_FORMAT_VERSION,
-        "config": dataclasses.asdict(fleet.config),
-        "objects": objects,
-    }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
+    _write_snapshot(
+        directory,
+        dataclasses.asdict(fleet.config),
+        kind,
+        [(oid, results[oid]) for oid in object_ids],
+    )
 
 
-def load_fleet(
-    directory: str | Path,
-    max_workers: int | None = None,
-    executor: str = "thread",
-    object_ids: "Collection[str] | None" = None,
-    mmap: bool = True,
-) -> FleetPredictionModel:
-    """Reload a fleet snapshot written by :func:`save_fleet` (v1 or v2).
-
-    With ``max_workers`` > 1 the per-object restores run in parallel —
-    the decompression and array reconstruction overlap well under a
-    thread pool (``executor="thread"``, the default), and
-    ``executor="process"`` ships the rebuilt models back by pickle for
-    the largest v1 snapshots (v2 coerces to threads; its blocks are
-    shared mappings).  The resulting fleet is identical to a serial
-    load; objects are adopted in manifest order.
-
-    ``object_ids`` restricts the load to a subset of the manifest — a
-    shard worker loads only the objects its consistent-hash ring slice
-    owns, so warm-up cost scales with the shard, not the fleet.  Ids
-    missing from the manifest raise ``ValueError``; an empty selection
-    yields an empty fleet (a legal, if idle, shard).
-
-    ``mmap`` (v2 only) maps the blocks read-only so region points and
-    kernel tables stay zero-copy views; pass ``False`` to materialise
-    private in-memory copies instead.  Both modes restore byte-identical
-    state.  v1 snapshots always materialise.
-    """
+# ----------------------------------------------------------------------
+# load side
+# ----------------------------------------------------------------------
+def read_manifest(directory: str | Path) -> dict:
+    """Read a snapshot's manifest, rejecting anything but format 2."""
     directory = Path(directory)
+    if directory.is_file():
+        found = (
+            "a single-model .npz archive"
+            if directory.suffix == ".npz"
+            else "a file"
+        )
+        raise ValueError(
+            f"{directory} is {found}, not a fleet snapshot; only format "
+            f"{FORMAT_VERSION} snapshot directories load"
+        )
     manifest_path = directory / _MANIFEST
     if not manifest_path.is_file():
         raise ValueError(f"{directory} is not a fleet snapshot (no {_MANIFEST})")
     manifest = json.loads(manifest_path.read_text())
     version = manifest.get("format_version")
-    if version == 2:
-        from .snapshot2 import load_fleet_v2
-
-        return load_fleet_v2(
-            directory,
-            manifest,
-            max_workers=max_workers,
-            executor=executor,
-            object_ids=object_ids,
-            mmap=mmap,
-        )
-    if version != _FLEET_FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"{directory}: unsupported fleet format "
-            f"{manifest.get('format_version')}"
+            f"{directory}: unsupported fleet format {version!r}; only "
+            f"format {FORMAT_VERSION} loads"
         )
-    objects = manifest["objects"]
+    return manifest
+
+
+def _open_blocks(directory: Path, manifest: dict) -> dict[str, np.ndarray]:
+    """Map every block of a snapshot read-only, validated against the manifest.
+
+    Opening is O(1) per block and pages fault in lazily.  Shape
+    mismatches and unreadable files raise ``ValueError`` naming the
+    block, so truncation or corruption is caught before any model is
+    half-built.
+    """
+    blocks: dict[str, np.ndarray] = {}
+    for name, shape in manifest["blocks"].items():
+        path = _block_path(directory, name)
+        try:
+            arr = np.load(path, mmap_mode="r", allow_pickle=False)
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: unreadable snapshot block "
+                f"(truncated or corrupt): {exc}"
+            ) from exc
+        if list(arr.shape) != list(shape):
+            raise ValueError(
+                f"{path}: block shape {list(arr.shape)} does not match "
+                f"manifest {list(shape)} (truncated or corrupt snapshot)"
+            )
+        if not arr.dtype.isnative:
+            arr = arr.astype(arr.dtype.newbyteorder("="))
+        blocks[name] = arr
+    return blocks
+
+
+def _kernel_from_arrays(
+    blocks: dict[str, np.ndarray],
+    index: dict,
+    patterns: list[TrajectoryPattern],
+    codec: KeyCodec,
+    kind: str,
+) -> ScoreKernel:
+    """Reassemble a :class:`ScoreKernel` from stored blocks (zero-copy).
+
+    ``bit_cols``/``bit_weights``/``confidences`` stay views into the
+    mapped cell blocks; only the Python-level pattern lists are rebuilt.
+    """
+    b0, b1 = index["buckets"]
+    r0, r1 = index["rows"]
+    c0, c1 = index["cells"]
+    buckets = blocks["kernel_buckets"][b0:b1].tolist()
+    rows = blocks["kernel_rows"][r0:r1]
+    conf = blocks["kernel_conf"][r0:r1]
+    cols = blocks["kernel_cells_cols"][c0:c1]
+    weights = blocks["kernel_cells_weights"][c0:c1]
+    packs: dict[int, CandidatePack] = {}
+    row_cursor = 0
+    cell_cursor = 0
+    for time_id, n, width in buckets:
+        row_slice = rows[row_cursor : row_cursor + n]
+        cells = slice(cell_cursor, cell_cursor + n * width)
+        packs[time_id] = CandidatePack(
+            seqs=row_slice[:, 0],
+            bit_cols=cols[cells].reshape(n, width).astype(np.intp, copy=False),
+            bit_weights=weights[cells].reshape(n, width),
+            confidences=conf[row_cursor : row_cursor + n],
+            supports=row_slice[:, 2],
+            cons_offsets=row_slice[:, 3],
+            patterns=[patterns[i] for i in row_slice[:, 1].tolist()],
+        )
+        row_cursor += n
+        cell_cursor += n * width
+    offset_time_ids = {
+        offset: time_id
+        for time_id, offset in enumerate(codec.consequence_offsets())
+    }
+    return ScoreKernel(kind, codec.premise_length, packs, offset_time_ids)
+
+
+def _unpack_tree(
+    blocks: dict[str, np.ndarray], index: dict, sig_bytes: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Decode the serialised tree structure for ``bulk_load_packed``.
+
+    Returns ``(entry_signatures, entry_pattern_rows, node_signatures)``;
+    signatures come back as Python bigints from their little-endian byte
+    rows, already in the canonical bulk-load order.
+    """
+    e0, e1 = index["entries"]
+    n0, n1 = index["nodes"]
+    ebuf = blocks["tree_entry_sigs"][e0:e1].tobytes()
+    nbuf = blocks["tree_node_sigs"][n0:n1].tobytes()
+    w = sig_bytes
+    entry_sigs = [
+        int.from_bytes(ebuf[i * w : (i + 1) * w], "little")
+        for i in range(e1 - e0)
+    ]
+    node_sigs = [
+        int.from_bytes(nbuf[i * w : (i + 1) * w], "little")
+        for i in range(n1 - n0)
+    ]
+    return entry_sigs, blocks["tree_entry_pattern"][e0:e1].tolist(), node_sigs
+
+
+def _restore_object(
+    config: HPMConfig,
+    blocks: dict[str, np.ndarray],
+    entry: dict,
+    premise_width: int,
+    sig_bytes: int,
+    kernel_kind: str | None,
+) -> HybridPredictionModel:
+    """Rebuild one model from its slice of the mapped blocks."""
+    h0, h1 = entry["history"]
+    history = Trajectory(
+        blocks["history"][h0:h1], start_time=entry["start_time"]
+    )
+    r0, r1 = entry["regions"]
+    p0, _p1 = entry["points"]
+    s0, s1 = entry["sub_ids"]
+    regions_list = regions_from_arrays(
+        blocks["region_rows"][r0:r1],
+        blocks["region_geo"][r0:r1],
+        blocks["region_points"],
+        blocks["region_sub_ids"][s0:s1],
+        points_start=p0,
+    )
+    region_set = RegionSet(regions_list, period=config.period, eps=config.eps)
+
+    t0, t1 = entry["patterns"]
+    rows = blocks["pattern_rows"][t0:t1]
+    confidences = blocks["pattern_conf"][t0:t1].tolist()
+    # Premises repeat heavily (every consequence shares its premise row),
+    # so intern them in bulk: one tuple per *unique* premise row instead
+    # of per-pattern tuple construction + dict probing.
+    unique_premises, inverse = np.unique(
+        rows[:, :premise_width], axis=0, return_inverse=True
+    )
+    premises = [
+        tuple(regions_list[rid] for rid in urow if rid >= 0)
+        for urow in unique_premises.tolist()
+    ]
+    unchecked = TrajectoryPattern._unchecked
+    patterns = [
+        unchecked(
+            premise=premises[pi],
+            consequence=regions_list[cid],
+            support=support,
+            confidence=confidence,
+        )
+        for pi, cid, support, confidence in zip(
+            inverse.tolist(),
+            rows[:, premise_width].tolist(),
+            rows[:, premise_width + 1].tolist(),
+            confidences,
+        )
+    ]
+
+    tree_index = entry.get("tree")
+    tree_packed = (
+        _unpack_tree(blocks, tree_index, sig_bytes)
+        if tree_index is not None
+        else None
+    )
+    model = HybridPredictionModel(config)
+    model._restore(history, region_set, patterns, tree_packed=tree_packed)
+    kernel_index = entry.get("kernel")
+    if (
+        kernel_index is not None
+        and kernel_kind is not None
+        and model.tree_ is not None
+    ):
+        kernel = _kernel_from_arrays(
+            blocks, kernel_index, patterns, model.codec_, kernel_kind
+        )
+        model.tree_.prime_score_kernel(kernel_kind, kernel)
+    return model
+
+
+def load_fleet(
+    directory: str | Path,
+    *,
+    max_workers: int | None = None,
+    object_ids: "Collection[str] | None" = None,
+) -> FleetPredictionModel:
+    """Reload a fleet snapshot written by :func:`save_fleet`.
+
+    The blocks are mapped once, read-only, and shared; each object's
+    restore slices views out of them on a thread pool of ``max_workers``.
+    The resulting fleet is identical to a serial load; objects are
+    adopted in manifest order.
+
+    ``object_ids`` restricts the load to a subset of the manifest — a
+    shard worker loads only the objects its consistent-hash ring slice
+    owns, so warm-up cost and the pages touched scale with the shard,
+    not the fleet.  Ids missing from the manifest raise ``ValueError``;
+    an empty selection yields an empty fleet (a legal, if idle, shard).
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    objects: dict[str, dict] = manifest["objects"]
     if object_ids is not None:
         wanted = set(object_ids)
         missing = sorted(wanted - objects.keys())
@@ -330,20 +737,28 @@ def load_fleet(
                 f"{', '.join(missing)}"
             )
         objects = {
-            object_id: filename
-            for object_id, filename in objects.items()
+            object_id: entry
+            for object_id, entry in objects.items()
             if object_id in wanted
         }
-    fleet = FleetPredictionModel(HPMConfig.from_dict(manifest["config"]))
+    config = HPMConfig.from_dict(manifest["config"])
+    stored_kind = manifest.get("kernel_kind")
+    # Stored kernels only apply when the fleet still scores with the
+    # weight family they were packed for; otherwise first queries build
+    # the right kernel lazily, exactly as after a fresh fit.
+    kind = stored_kind if stored_kind == config.weight_function else None
+    blocks = _open_blocks(directory, manifest)
+    premise_width = int(manifest["premise_width"])
+    sig_bytes = int(manifest.get("sig_bytes", 1))
+    fleet = FleetPredictionModel(config)
     jobs = [
-        (object_id, (directory / filename,))
-        for object_id, filename in objects.items()
+        (object_id, (config, blocks, entry, premise_width, sig_bytes, kind))
+        for object_id, entry in objects.items()
     ]
     results, failures = run_keyed_tasks(
-        load_model, jobs, max_workers=max_workers, executor=executor
+        _restore_object, jobs, max_workers=max_workers, executor="thread"
     )
     if failures:
-        # Surface the first failure in manifest order, as a serial load would.
         for object_id, _ in jobs:
             if object_id in failures:
                 raise failures[object_id]
@@ -352,21 +767,136 @@ def load_fleet(
     return fleet
 
 
-def convert_snapshot(
-    source: str | Path,
-    output: str | Path,
-    format: int = 2,
-    max_workers: int | None = None,
-) -> int:
-    """Convert a fleet snapshot between formats (``repro snapshot-convert``).
+# ----------------------------------------------------------------------
+# repack: subset / merge without model reconstruction
+# ----------------------------------------------------------------------
+def _slice_object_arrays(
+    blocks: dict[str, np.ndarray], entry: dict, sig_bytes: int
+) -> dict:
+    """One object's arrays as views into the source blocks (for repack)."""
+    h0, h1 = entry["history"]
+    r0, r1 = entry["regions"]
+    p0, p1 = entry["points"]
+    s0, s1 = entry["sub_ids"]
+    t0, t1 = entry["patterns"]
+    arrays = {
+        "start_time": entry["start_time"],
+        "history": blocks["history"][h0:h1],
+        "region_rows": blocks["region_rows"][r0:r1],
+        "region_geo": blocks["region_geo"][r0:r1],
+        "region_points": blocks["region_points"][p0:p1],
+        "region_sub_ids": blocks["region_sub_ids"][s0:s1],
+        "pattern_rows": blocks["pattern_rows"][t0:t1],
+        "pattern_conf": blocks["pattern_conf"][t0:t1],
+    }
+    tree = entry.get("tree")
+    if tree is None:
+        arrays["tree"] = None
+    else:
+        e0, e1 = tree["entries"]
+        n0, n1 = tree["nodes"]
+        arrays["tree"] = {
+            "sig_bytes": sig_bytes,
+            "tree_entry_sigs": blocks["tree_entry_sigs"][e0:e1],
+            "tree_entry_pattern": blocks["tree_entry_pattern"][e0:e1],
+            "tree_node_sigs": blocks["tree_node_sigs"][n0:n1],
+        }
+    kernel = entry.get("kernel")
+    if kernel is None:
+        arrays["kernel"] = None
+    else:
+        b0, b1 = kernel["buckets"]
+        k0, k1 = kernel["rows"]
+        c0, c1 = kernel["cells"]
+        arrays["kernel"] = {
+            "kernel_buckets": blocks["kernel_buckets"][b0:b1],
+            "kernel_rows": blocks["kernel_rows"][k0:k1],
+            "kernel_conf": blocks["kernel_conf"][k0:k1],
+            "kernel_cells_cols": blocks["kernel_cells_cols"][c0:c1],
+            "kernel_cells_weights": blocks["kernel_cells_weights"][c0:c1],
+        }
+    return arrays
 
-    Loads ``source`` (either format) and rewrites it as ``format`` into
-    ``output``.  The conversion round-trips through full model
-    reconstruction, so the result carries exactly the state a load of the
-    source would produce — the snapshot property tests pin v1→v2→load to
-    byte-identical state and prediction fingerprints.  Returns the number
-    of objects converted.
+
+def repack_snapshot(
+    sources: Sequence[str | Path],
+    output: str | Path,
+    object_ids: "Collection[str] | None" = None,
+) -> list[str]:
+    """Gather objects from several snapshots into one, in sorted-id order.
+
+    Pure block slicing — no model deserialisation — so splitting a large
+    snapshot into shards (one source, ``object_ids`` a ring slice) or
+    merging shards back (many sources, every object) costs one array
+    copy per object.  Configs must agree and duplicate object ids
+    raise.  An empty selection still yields a valid (empty) snapshot.
+    Returns the written object ids.
     """
-    fleet = load_fleet(source, max_workers=max_workers)
-    save_fleet(fleet, output, format=format, max_workers=max_workers)
-    return len(fleet)
+    found: dict[str, tuple[dict[str, np.ndarray], dict, int]] = {}
+    config: dict | None = None
+    kind: str | None = None
+    for source in sources:
+        source = Path(source)
+        manifest = read_manifest(source)
+        if config is None:
+            config = manifest["config"]
+            kind = manifest["kernel_kind"]
+            HPMConfig.from_dict(config)
+        elif manifest["config"] != config:
+            raise ValueError(
+                f"{source}: snapshot config differs from the other sources'"
+            )
+        blocks = _open_blocks(source, manifest)
+        sig_bytes = int(manifest.get("sig_bytes", 1))
+        for object_id, entry in manifest["objects"].items():
+            if object_id in found:
+                raise ValueError(
+                    f"object id {object_id!r} appears in more than one snapshot"
+                )
+            found[object_id] = (blocks, entry, sig_bytes)
+    if config is None:
+        raise ValueError("no source snapshots to repack")
+    selected = sorted(found if object_ids is None else set(object_ids))
+    entries = [
+        (object_id, _slice_object_arrays(*found[object_id]))
+        for object_id in selected
+    ]
+    _write_snapshot(output, config, kind, entries)
+    return selected
+
+
+# ----------------------------------------------------------------------
+# introspection
+# ----------------------------------------------------------------------
+def snapshot_stat(directory: str | Path) -> dict:
+    """Layout summary of a fleet snapshot.
+
+    Returns a JSON-serialisable dict: format version, object count,
+    total regions/patterns, on-disk bytes per block, and kernel
+    coverage — the ``repro snapshot-stat`` CLI prints it.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    blocks = {}
+    total = 0
+    for name, shape in manifest["blocks"].items():
+        path = _block_path(directory, name)
+        size = path.stat().st_size if path.is_file() else None
+        blocks[name] = {"shape": shape, "bytes": size}
+        if size:
+            total += size
+    entries = manifest["objects"].values()
+    return {
+        "path": str(directory),
+        "format_version": manifest["format_version"],
+        "objects": len(manifest["objects"]),
+        "kernel_kind": manifest.get("kernel_kind"),
+        "premise_width": manifest.get("premise_width"),
+        "regions": manifest["blocks"]["region_rows"][0],
+        "patterns": manifest["blocks"]["pattern_rows"][0],
+        "kernel_objects": sum(
+            1 for e in entries if e.get("kernel") is not None
+        ),
+        "blocks": blocks,
+        "total_block_bytes": total,
+    }

@@ -40,7 +40,7 @@ def regions_from_arrays(
 ) -> list[FrequentRegion]:
     """Reconstruct :class:`FrequentRegion` objects from packed columnar blocks.
 
-    The v2 snapshot format stores regions as four parallel blocks:
+    The fleet snapshot format stores regions as four parallel blocks:
     ``region_rows`` ``(R, 4)`` int64 rows of ``(offset, index, n_points,
     n_subs)``, ``region_geo`` ``(R, 6)`` float64 rows of ``(center_x,
     center_y, min_x, min_y, max_x, max_y)``, the member points

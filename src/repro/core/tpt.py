@@ -170,7 +170,7 @@ class TrajectoryPatternTree(SignatureTree):
 
         The caller guarantees the kernel's arrays were packed from
         exactly this tree's pattern corpus in canonical bulk-load order —
-        the v2 snapshot loader reconstructs it from stored blocks so the
+        the snapshot loader reconstructs it from stored blocks so the
         first query skips the full :meth:`ScoreKernel.build` pass.  The
         primed kernel obeys the normal invalidation contract: the next
         structural mutation drops it like any lazily-built one.

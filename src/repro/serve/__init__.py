@@ -25,9 +25,9 @@ and the same byte-identity guarantee.
 
 Run one from the CLI::
 
-    repro mine route.csv -o model.npz --period 24
-    repro serve model.npz --port 8080
-    repro loadgen 127.0.0.1:8080 --input route.csv --requests 500
+    repro fit route.csv -o snapshot --period 24
+    repro serve snapshot --port 8080
+    repro loadgen 127.0.0.1:8080 --input route.csv --object-id route --requests 500
 """
 
 from .admission import AdmissionController, AdmissionDecision, TokenBucket

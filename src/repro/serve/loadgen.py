@@ -1,6 +1,6 @@
 """Load generator: replay a trajectory workload against a live server.
 
-Closes the serving loop: ``repro mine`` fits a model, ``repro serve``
+Closes the serving loop: ``repro fit`` fits a fleet, ``repro serve``
 exposes it, and ``repro loadgen`` (or :func:`run_loadgen` in-process)
 fires a realistic query stream at it and reports what an operator cares
 about — sustained requests/sec and the latency tail.

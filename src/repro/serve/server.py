@@ -235,11 +235,10 @@ class PredictionService:
         metrics: MetricsRegistry | None = None,
         warmup_workers: int | None = None,
         prewarm_locate: int = 512,
-        mmap: bool = True,
     ) -> "PredictionService":
         """Build a service from a fleet snapshot directory.
 
-        ``warmup_workers`` parallelises the per-object archive loads
+        ``warmup_workers`` parallelises the per-object restores
         (see :func:`repro.core.persistence.load_fleet`) so a large
         snapshot warms up in a fraction of the serial time before the
         first request is accepted.
@@ -249,15 +248,10 @@ class PredictionService:
         snapshot write, so without this the first requests after a
         restore pay per-region KD-tree probes and cold-start p99 cliffs.
         Pass 0 to skip.
-
-        ``mmap`` (v2 snapshots only) maps the packed blocks read-only
-        instead of materialising them, so concurrent services on one
-        host share the page cache; pass ``False`` to force private
-        copies.
         """
         from ..core.persistence import load_fleet
 
-        fleet = load_fleet(snapshot_dir, max_workers=warmup_workers, mmap=mmap)
+        fleet = load_fleet(snapshot_dir, max_workers=warmup_workers)
         if prewarm_locate:
             for object_id in fleet.object_ids():
                 fleet[object_id].prewarm_locate_cache(prewarm_locate)

@@ -18,13 +18,11 @@
   batches and refits via the server's graceful-shutdown path), a grace
   period, then SIGKILL for stragglers.
 
-Restart recovery cost is dominated by the snapshot reload.  With a v2
-(packed columnar) snapshot each worker memory-maps the shared blocks
-and loads only its ring slice's pages, so co-located workers share the
-page cache and a respawned worker is answering again ~4.7x sooner than
-from a v1 snapshot (``BENCH_snapshot.json``); pass
-``--worker-arg=--no-mmap`` through :class:`ShardCluster`'s extra args
-to force private materialised copies instead.
+Restart recovery cost is dominated by the snapshot reload.  Each
+worker memory-maps the snapshot's shared blocks read-only and loads
+only its ring slice's pages, so co-located workers share the page
+cache; ``BENCH_snapshot.json`` records the restart drill's slice load
+and first prediction.
 
 The ``on_ready(shard_id, host, port)`` / ``on_down(shard_id)``
 callbacks are how the cluster and a

@@ -7,8 +7,8 @@ the fleet instead of all of it.  Nothing in the serve path knows it is
 sharded; the router owns placement, so a worker answers exactly the
 bytes a whole-fleet server would answer for the objects it holds.
 
-Slice selection (:func:`load_shard_fleet`) supports both snapshot
-layouts:
+Slice selection (:func:`load_shard_fleet`) takes either snapshot
+layout:
 
 * a **sharded snapshot** (``repro shard-snapshot split``): the worker
   loads its ``shard_NNNN/`` directory, after checking the on-disk ring
@@ -29,12 +29,11 @@ graceful path and exits 0.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from ...core.fleet import FleetPredictionModel
-from ...core.persistence import load_fleet
+from ...core.persistence import load_fleet, read_manifest
 from ..server import PredictionServer, PredictionService, ServeConfig
 from .ring import DEFAULT_REPLICAS, HashRing
 from .snapshot import (
@@ -54,14 +53,12 @@ def load_shard_fleet(
     replicas: int = DEFAULT_REPLICAS,
     salt: str = "hpm-ring",
     max_workers: int | None = None,
-    mmap: bool = True,
 ) -> FleetPredictionModel:
     """Load the slice of ``snapshot`` that shard ``shard_id`` owns.
 
-    With a v2 (packed columnar) snapshot the ring slice is restricted
-    via the per-object offset index before any block is touched, so a
-    worker only faults in the pages its own objects occupy; ``mmap``
-    forwards to :func:`repro.core.persistence.load_fleet`.
+    The ring slice is restricted via the snapshot's per-object offset
+    index before any block is touched, so a worker only faults in the
+    pages its own objects occupy.
     """
     if not 0 <= shard_id < num_shards:
         raise ValueError(
@@ -77,19 +74,12 @@ def load_shard_fleet(
                 f"({num_shards}, {replicas}, {salt!r}); resplit or fix flags"
             )
         return load_fleet(
-            snapshot / shard_dir_name(shard_id),
-            max_workers=max_workers,
-            mmap=mmap,
+            snapshot / shard_dir_name(shard_id), max_workers=max_workers
         )
     ring = HashRing(num_shards, replicas=replicas, salt=salt)
-    manifest_path = snapshot / "manifest.json"
-    if not manifest_path.is_file():
-        raise ValueError(f"{snapshot} is not a fleet snapshot")
-    object_ids = json.loads(manifest_path.read_text())["objects"].keys()
+    object_ids = read_manifest(snapshot)["objects"].keys()
     mine = [oid for oid in object_ids if ring.shard_for(oid) == shard_id]
-    return load_fleet(
-        snapshot, max_workers=max_workers, object_ids=mine, mmap=mmap
-    )
+    return load_fleet(snapshot, max_workers=max_workers, object_ids=mine)
 
 
 async def run_worker(
@@ -105,7 +95,6 @@ async def run_worker(
     config: ServeConfig | None = None,
     grace: float = 5.0,
     max_workers: int | None = None,
-    mmap: bool = True,
 ) -> int:
     """Serve one shard until SIGTERM/SIGINT; returns the exit code.
 
@@ -119,7 +108,6 @@ async def run_worker(
         replicas=replicas,
         salt=salt,
         max_workers=max_workers,
-        mmap=mmap,
     )
     service = PredictionService(fleet, config or ServeConfig())
     service.metrics.gauge(

@@ -1,11 +1,12 @@
-"""Tests for model save/load."""
+"""Tests for fleet snapshot save/load."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import HPMConfig
+from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
-from repro.core.persistence import load_model, save_model
+from repro.core.persistence import load_fleet, save_fleet
 from repro.trajectory import TimedPoint, Trajectory
 
 
@@ -24,19 +25,18 @@ def fitted_model():
     return model, base
 
 
-class TestRoundTrip:
-    def test_unfitted_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_model(
-                HybridPredictionModel(period=10, distant_threshold=4),
-                tmp_path / "m.npz",
-            )
+def round_trip(model, directory, object_id="obj"):
+    """Save ``model`` as a one-object snapshot and load it back."""
+    fleet = FleetPredictionModel(model.config)
+    fleet.adopt_object(object_id, model)
+    save_fleet(fleet, directory)
+    return load_fleet(directory)[object_id]
 
+
+class TestRoundTrip:
     def test_state_preserved(self, fitted_model, tmp_path):
         model, _ = fitted_model
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp_path / "snap")
 
         assert loaded.config == model.config
         assert len(loaded.history_) == len(model.history_)
@@ -59,9 +59,7 @@ class TestRoundTrip:
 
     def test_predictions_identical(self, fitted_model, tmp_path):
         model, base = fitted_model
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp_path / "snap")
 
         t0 = 20 * 14
         recent = [TimedPoint(t0 + t, *base[t]) for t in range(3)]
@@ -74,27 +72,18 @@ class TestRoundTrip:
 
     def test_update_works_after_reload(self, fitted_model, tmp_path):
         model, base = fitted_model
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp_path / "snap")
         rng = np.random.default_rng(4)
         loaded.update(base + rng.normal(0, 0.8, base.shape))
         assert len(loaded.history_) == len(model.history_) + len(base)
 
-    def test_version_check(self, fitted_model, tmp_path):
-        import json
-
-        model, _ = fitted_model
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        # Corrupt the version field.
-        data = dict(np.load(path))
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        meta["format_version"] = 999
-        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="unsupported model format"):
-            load_model(path)
+    def test_version_check(self, tmp_path):
+        """A retired single-model archive is named and refused."""
+        np.savez(tmp_path / "model.npz", history=np.zeros((4, 2)))
+        with pytest.raises(
+            ValueError, match="single-model .npz archive.*only format 2"
+        ):
+            load_fleet(tmp_path / "model.npz")
 
     def test_pattern_free_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -103,9 +92,7 @@ class TestRoundTrip:
             HPMConfig(period=14, eps=5.0, min_pts=9, distant_threshold=5)
         ).fit(traj)
         assert model.pattern_count == 0
-        path = tmp_path / "empty.npz"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp_path / "snap")
         assert loaded.pattern_count == 0
         recent = [TimedPoint(200 + i, float(i), 0.0) for i in range(8)]
         assert loaded.predict_one(recent, 212).method == "motion"
@@ -113,9 +100,6 @@ class TestRoundTrip:
 
 class TestFleetSnapshot:
     def test_round_trip(self, fitted_model, tmp_path):
-        from repro.core.fleet import FleetPredictionModel
-        from repro.core.persistence import load_fleet, save_fleet
-
         model, base = fitted_model
         fleet = FleetPredictionModel(model.config)
         fleet.adopt_object("a/b weird id", model)
@@ -139,9 +123,6 @@ class TestFleetSnapshot:
         assert via_snapshot[0].method == direct[0].method
 
     def test_empty_fleet_rejected(self, tmp_path):
-        from repro.core.fleet import FleetPredictionModel
-        from repro.core.persistence import save_fleet
-
         with pytest.raises(ValueError, match="empty fleet"):
             save_fleet(
                 FleetPredictionModel(period=10, distant_threshold=4),
@@ -149,15 +130,10 @@ class TestFleetSnapshot:
             )
 
     def test_not_a_snapshot_rejected(self, tmp_path):
-        from repro.core.persistence import load_fleet
-
         with pytest.raises(ValueError, match="not a fleet snapshot"):
             load_fleet(tmp_path)
 
     def test_adopt_requires_fitted(self):
-        from repro.core.fleet import FleetPredictionModel
-        from repro.core.model import HybridPredictionModel
-
         fleet = FleetPredictionModel(period=10, distant_threshold=4)
         with pytest.raises(ValueError, match="unfitted"):
             fleet.adopt_object("x", HybridPredictionModel(period=10, distant_threshold=4))

@@ -1,13 +1,15 @@
-"""Fleet snapshot format v2: packed columnar blocks, mmap loads.
+"""Fleet snapshots: packed columnar blocks, read-only mmap loads.
 
-The contract: a v2 load — mmap or materialised, whole fleet or ring
-slice, direct or converted from v1 — yields models whose state AND
-prediction fingerprints are byte-identical to the v1 reload of the same
-fleet, with the score-kernel cache already primed; and a delta refit on
-a v2-loaded model stays byte-identical to a fit from scratch.
+The contract: a load — whole fleet or ring slice, direct or through a
+shard split and merge — yields models whose state AND prediction
+fingerprints are byte-identical to the fitted fleet, with the
+score-kernel cache already primed; a delta refit on a loaded model
+stays byte-identical to a fit from scratch; and saving over a snapshot
+never changes a fleet already loaded from it.
 """
 
 import json
+import pickle
 import shutil
 
 import numpy as np
@@ -19,8 +21,7 @@ from repro.core.config import HPMConfig
 from repro.core.fingerprint import model_fingerprint, prediction_fingerprint
 from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
-from repro.core.persistence import convert_snapshot, load_fleet, save_fleet
-from repro.core.snapshot2 import snapshot_stat
+from repro.core.persistence import load_fleet, save_fleet, snapshot_stat
 from repro.serve.shard.snapshot import merge_snapshot, shard_dir_name, split_snapshot
 from repro.trajectory import TimedPoint, Trajectory
 
@@ -91,20 +92,22 @@ def fitted_fleet():
 @pytest.fixture(scope="module")
 def snapshots(fitted_fleet, tmp_path_factory):
     root = tmp_path_factory.mktemp("snapshots")
-    save_fleet(fitted_fleet, root / "v1", format=1)
-    save_fleet(fitted_fleet, root / "v2", format=2)
+    save_fleet(fitted_fleet, root / "v2")
     return root
 
 
 class TestRoundTripIdentity:
-    def test_v2_matches_v1_and_original(self, fitted_fleet, snapshots):
+    def test_load_matches_original(self, fitted_fleet, snapshots):
         reference = fleet_fingerprints(fitted_fleet)
-        assert fleet_fingerprints(load_fleet(snapshots / "v1")) == reference
         assert fleet_fingerprints(load_fleet(snapshots / "v2")) == reference
 
     def test_mmap_matches_materialized(self, fitted_fleet, snapshots):
-        mmapped = load_fleet(snapshots / "v2", mmap=True)
-        materialized = load_fleet(snapshots / "v2", mmap=False)
+        """Private copies of a mapped fleet (pickled, as the process
+        executor ships models) answer byte-identically."""
+        mmapped = load_fleet(snapshots / "v2")
+        materialized = FleetPredictionModel(mmapped.config)
+        for oid in mmapped.object_ids():
+            materialized.adopt_object(oid, pickle.loads(pickle.dumps(mmapped[oid])))
         assert fleet_fingerprints(mmapped) == fleet_fingerprints(materialized)
 
     def test_kernel_primed_on_load(self, fitted_fleet, snapshots):
@@ -116,7 +119,7 @@ class TestRoundTripIdentity:
             assert tree._score_kernels.get(kind) is not None
 
     def test_region_points_are_mmap_views(self, snapshots):
-        fleet = load_fleet(snapshots / "v2", mmap=True)
+        fleet = load_fleet(snapshots / "v2")
         model = fleet[fleet.object_ids()[0]]
         points = np.asarray(model.regions_[0].points)
         base = points
@@ -134,7 +137,7 @@ class TestRoundTripIdentity:
     def test_parallel_save_identical_to_serial(
         self, fitted_fleet, snapshots, tmp_path
     ):
-        save_fleet(fitted_fleet, tmp_path / "par", format=2, max_workers=3)
+        save_fleet(fitted_fleet, tmp_path / "par", max_workers=3)
         serial = sorted((snapshots / "v2").iterdir())
         parallel = sorted((tmp_path / "par").iterdir())
         assert [p.name for p in serial] == [p.name for p in parallel]
@@ -147,24 +150,6 @@ class TestRoundTripIdentity:
         assert stat["objects"] == 3
         assert stat["kernel_objects"] == 3
         assert stat["total_block_bytes"] > 0
-        assert snapshot_stat(snapshots / "v1")["format_version"] == 1
-
-
-class TestConvert:
-    def test_v1_to_v2_identity(self, fitted_fleet, snapshots, tmp_path):
-        count = convert_snapshot(snapshots / "v1", tmp_path / "conv", format=2)
-        assert count == 3
-        assert fleet_fingerprints(
-            load_fleet(tmp_path / "conv")
-        ) == fleet_fingerprints(fitted_fleet)
-
-    def test_v2_to_v1_identity(self, fitted_fleet, snapshots, tmp_path):
-        convert_snapshot(snapshots / "v2", tmp_path / "back", format=1)
-        manifest = json.loads((tmp_path / "back" / "manifest.json").read_text())
-        assert manifest["format_version"] == 1
-        assert fleet_fingerprints(
-            load_fleet(tmp_path / "back")
-        ) == fleet_fingerprints(fitted_fleet)
 
 
 class TestCorruptionPaths:
@@ -179,7 +164,15 @@ class TestCorruptionPaths:
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 99
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported fleet format"):
+        with pytest.raises(ValueError, match="unsupported fleet format 99"):
+            load_fleet(dest)
+        # The retired one-.npz-per-object layout is named and refused.
+        manifest["format_version"] = 1
+        manifest["objects"] = {"obj0": "object_0000.npz"}
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            ValueError, match="unsupported fleet format 1; only format 2 loads"
+        ):
             load_fleet(dest)
 
     def test_truncated_block_rejected(self, snapshots, tmp_path):
@@ -233,31 +226,10 @@ def age_v2_snapshot(source, dest):
     manifest_path.write_text(json.dumps(manifest, indent=2))
 
 
-def age_v1_snapshot(source, dest):
-    """A copy of a v1 snapshot whose manifest and per-object archives
-    carry the retired config keys."""
-    shutil.copytree(source, dest)
-    manifest_path = dest / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["config"].update(RETIRED_OPTIONS)
-    manifest_path.write_text(json.dumps(manifest, indent=2))
-    for filename in manifest["objects"].values():
-        with np.load(dest / filename) as archive:
-            arrays = dict(archive)
-        meta = json.loads(bytes(arrays["meta"].tobytes()).decode("utf-8"))
-        meta["config"].update(RETIRED_OPTIONS)
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(dest / filename, **arrays)
-
-
 class TestRetiredOptionSnapshots:
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_load_split_merge_identical(
-        self, fitted_fleet, snapshots, tmp_path, version
-    ):
+    def test_load_split_merge_identical(self, fitted_fleet, snapshots, tmp_path):
         aged = tmp_path / "aged"
-        age = age_v2_snapshot if version == "v2" else age_v1_snapshot
-        age(snapshots / version, aged)
+        age_v2_snapshot(snapshots / "v2", aged)
         reference = fleet_fingerprints(fitted_fleet)
         assert fleet_fingerprints(load_fleet(aged)) == reference
 
@@ -273,7 +245,7 @@ class TestRetiredOptionSnapshots:
 
 class TestCopyOnWriteRefit:
     def test_mmap_blocks_are_readonly(self, snapshots):
-        fleet = load_fleet(snapshots / "v2", mmap=True)
+        fleet = load_fleet(snapshots / "v2")
         model = fleet[fleet.object_ids()[0]]
         points = np.asarray(model.regions_[0].points)
         with pytest.raises((ValueError, RuntimeError)):
@@ -286,9 +258,9 @@ class TestCopyOnWriteRefit:
 
         fleet = FleetPredictionModel(config)
         fleet.fit({"obj": Trajectory(prefix.copy(), 0)})
-        save_fleet(fleet, tmp_path / "snap", format=2)
+        save_fleet(fleet, tmp_path / "snap")
 
-        reloaded = load_fleet(tmp_path / "snap", mmap=True)["obj"]
+        reloaded = load_fleet(tmp_path / "snap")["obj"]
         reloaded.update(tail, refit="delta")
 
         oracle = HybridPredictionModel(config).fit(
@@ -301,6 +273,35 @@ class TestCopyOnWriteRefit:
         )
 
 
+class TestResaveOverLoadedSnapshot:
+    def test_live_fleet_unchanged_and_fresh_load_sees_new_fleet(
+        self, fitted_fleet, tmp_path
+    ):
+        """Saving a different fleet over a loaded snapshot leaves the live
+        (mapped) models alone; only a fresh load returns the new fleet."""
+        snapshot = tmp_path / "snap"
+        save_fleet(fitted_fleet, snapshot)
+        live = load_fleet(snapshot)
+        before = fleet_fingerprints(live)
+
+        # The same routes shifted by 1 m: every block keeps its shape, so
+        # an in-place rewrite would change the live pages, not truncate.
+        other = FleetPredictionModel(make_config())
+        other.fit(
+            {
+                f"obj{i}": Trajectory(make_route(12, seed=i) + 1.0, 0)
+                for i in range(3)
+            }
+        )
+        save_fleet(other, snapshot)
+
+        assert fleet_fingerprints(live) == before
+        assert fleet_fingerprints(load_fleet(snapshot)) == fleet_fingerprints(
+            other
+        )
+        assert not list(snapshot.glob("*.tmp"))
+
+
 class TestProperty:
     @settings(
         max_examples=4,
@@ -311,12 +312,13 @@ class TestProperty:
         num_blocks=st.integers(min_value=8, max_value=12),
         seed=st.integers(min_value=0, max_value=50),
     )
-    def test_convert_roundtrip_identity(self, tmp_path_factory, num_blocks, seed):
+    def test_save_load_roundtrip_identity(
+        self, tmp_path_factory, num_blocks, seed
+    ):
         tmp_path = tmp_path_factory.mktemp("prop")
         fleet = FleetPredictionModel(make_config())
         fleet.fit({"obj": Trajectory(make_route(num_blocks, seed=seed), 0)})
-        save_fleet(fleet, tmp_path / "v1", format=1)
-        convert_snapshot(tmp_path / "v1", tmp_path / "v2", format=2)
-        reference = fleet_fingerprints(fleet)
-        assert fleet_fingerprints(load_fleet(tmp_path / "v1")) == reference
-        assert fleet_fingerprints(load_fleet(tmp_path / "v2")) == reference
+        save_fleet(fleet, tmp_path / "snap")
+        assert fleet_fingerprints(load_fleet(tmp_path / "snap")) == (
+            fleet_fingerprints(fleet)
+        )

@@ -1,9 +1,8 @@
-"""End-to-end CLI tests: synth -> mine -> predict -> evaluate."""
+"""End-to-end CLI tests: synth -> fit -> predict / serve -> evaluate."""
 
 import pytest
 
 from repro.cli import main
-from repro.core.persistence import load_model
 from repro.trajectory.io import load_trajectory
 
 
@@ -29,11 +28,11 @@ def data_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def model_npz(data_csv, tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "model.npz"
+def snapshot(data_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "snapshot"
     code = main(
         [
-            "mine",
+            "fit",
             str(data_csv),
             "-o",
             str(path),
@@ -64,15 +63,8 @@ class TestSynth:
             main(["synth", "submarine", "-o", str(tmp_path / "x.csv")])
 
 
-class TestMine:
-    def test_model_loadable(self, model_npz):
-        model = load_model(model_npz)
-        assert model.pattern_count > 0
-        assert model.config.period == 60
-
-
 class TestPredict:
-    def test_predicts_from_saved_model(self, model_npz, data_csv, capsys):
+    def test_predicts_from_saved_model(self, snapshot, data_csv, capsys):
         trajectory = load_trajectory(data_csv)
         t0 = 18 * 60  # a held-out-ish day
         recent = ",".join(
@@ -83,7 +75,9 @@ class TestPredict:
         code = main(
             [
                 "predict",
-                str(model_npz),
+                str(snapshot),
+                "--object-id",
+                "bike",
                 "--recent",
                 recent,
                 "--time",
@@ -97,9 +91,39 @@ class TestPredict:
         assert out.startswith("#1 (")
         assert "method=" in out
 
-    def test_bad_recent_spec(self, model_npz):
+    def test_bad_recent_spec(self, snapshot):
         with pytest.raises(SystemExit, match="t:x:y"):
-            main(["predict", str(model_npz), "--recent", "1:2", "--time", "99"])
+            main(["predict", str(snapshot), "--object-id", "bike",
+                  "--recent", "1:2", "--time", "99"])
+
+    def test_unknown_object_rejected(self, snapshot):
+        with pytest.raises(ValueError, match="not in the snapshot manifest"):
+            main(["predict", str(snapshot), "--object-id", "car",
+                  "--recent", "1:2:3", "--time", "99"])
+
+
+class TestServe:
+    def test_serves_snapshot_with_warm_locate_cache(self, snapshot, monkeypatch):
+        import repro.serve
+
+        served = {}
+
+        class _Server:
+            def __init__(self, service, host, port):
+                served["service"] = service
+                self.port = port
+
+            async def start(self):
+                pass
+
+            async def run_forever(self, handle_signals):
+                pass
+
+        monkeypatch.setattr(repro.serve, "PredictionServer", _Server)
+        assert main(["serve", str(snapshot), "--port", "0"]) == 0
+        fleet = served["service"].fleet
+        assert fleet.object_ids() == ["bike"]
+        assert len(fleet["bike"]._regions._locate_cache) > 0
 
 
 class TestEvaluate:
@@ -200,25 +224,3 @@ class TestSnapshotTools:
         assert stat["format_version"] == 2
         assert stat["objects"] == 1
         assert stat["total_block_bytes"] > 0
-
-    def test_convert_round_trips(self, fleet_snapshot, tmp_path, capsys):
-        import json
-
-        from repro.core.persistence import load_fleet
-
-        v1 = tmp_path / "v1"
-        assert main(
-            ["snapshot-convert", str(fleet_snapshot), "-o", str(v1), "--to", "1"]
-        ) == 0
-        assert "1 object(s) as format v1" in capsys.readouterr().out
-        assert main(["snapshot-stat", str(v1)]) == 0
-        assert json.loads(capsys.readouterr().out)["format_version"] == 1
-
-        v2 = tmp_path / "v2"
-        assert main(
-            ["snapshot-convert", str(v1), "-o", str(v2), "--to", "2"]
-        ) == 0
-        original = load_fleet(fleet_snapshot)
-        converted = load_fleet(v2)
-        assert converted.object_ids() == original.object_ids()
-        assert converted.total_patterns() == original.total_patterns()

@@ -23,8 +23,8 @@ class TestPublicAPI:
             "LinearMotionFunction",
             "TrajectoryPattern",
             "TrajectoryPatternTree",
-            "save_model",
-            "load_model",
+            "save_fleet",
+            "load_fleet",
         ):
             assert hasattr(repro, name), f"README-advertised {name} missing"
 

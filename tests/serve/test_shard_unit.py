@@ -286,23 +286,20 @@ class TestShardSnapshots:
         with pytest.raises(ValueError, match="split for ring"):
             load_shard_fleet(sharded, 0, 3)
 
-    @pytest.mark.parametrize("fmt", [1, 2])
-    def test_split_merge_identity_both_formats(
-        self, multi_fleet, tmp_path, fmt
-    ):
+    def test_split_merge_identity(self, multi_fleet, tmp_path):
         from repro.core.fingerprint import model_fingerprint
 
         plain = tmp_path / "plain"
         sharded = tmp_path / "sharded"
         merged_dir = tmp_path / "merged"
-        save_fleet(multi_fleet, plain, format=fmt)
+        save_fleet(multi_fleet, plain)
         split_snapshot(plain, sharded, num_shards=3)
 
-        # Each shard dir is itself a loadable snapshot of the same format.
+        # Each shard dir is itself a loadable snapshot.
         shard0 = json.loads(
             (sharded / "shard_0000" / "manifest.json").read_text()
         )
-        assert shard0["format_version"] == fmt
+        assert shard0["format_version"] == 2
 
         reference = {
             oid: model_fingerprint(multi_fleet[oid])
