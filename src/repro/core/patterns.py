@@ -20,9 +20,9 @@ Implementation notes
 The itemset lattice is counted in *vertical* form: each frequent region
 carries the bitmask of sub-trajectories that visit it (directly available
 from DBSCAN membership), so support of any region combination is one AND +
-popcount.  This is algebraically identical to the level-wise Apriori counts
-(the test suite cross-checks against :mod:`repro.mining.apriori` on small
-inputs) but avoids a transaction scan per candidate.
+popcount.  This is algebraically identical to level-wise Apriori counting
+(the tests cross-check it against a textbook Apriori on small inputs) but
+avoids a transaction scan per candidate.
 
 Premises are bounded by ``max_premise_length`` regions within
 ``max_premise_span`` consecutive offsets — the reproduction-specific cap

@@ -18,15 +18,18 @@ Differences from the generic signature tree, per the paper:
      Intersect search cheap;
   3. otherwise → smallest ``Difference(pk, e)``, ties by smallest ``Size``.
 
-* **Search (Section V-C)** — depth-first descent pruning any subtree whose
-  union signature fails the two-part ``Intersect`` with the query key.
-  BQP additionally needs a consequence-only search that ignores the
-  premise part.
+* **Search (Section V-C)** — the answer set of a depth-first descent
+  pruning any subtree whose union signature fails the two-part
+  ``Intersect`` with the query key; BQP additionally needs a
+  consequence-only search that ignores the premise part.  Both are
+  served from a consequence-offset index that returns exactly the
+  descent's entries in the descent's order (the tests hold it to
+  :meth:`SignatureTree.search` with the same predicates).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..signature.bitset import contain, difference, iter_set_bits, size
 from ..signature.signature_tree import LeafEntry, Node, SignatureTree
@@ -251,31 +254,6 @@ class TrajectoryPatternTree(SignatureTree):
                     hits[seq] = (pattern, key)
         return [hits[seq] for seq in sorted(hits)]
 
-    def search_candidates_descent(
-        self, query_key: PatternKey
-    ) -> list[tuple[TrajectoryPattern, PatternKey]]:
-        """Reference implementation of :meth:`search_candidates` via tree
-        descent (Section V-C) — kept for A/B verification and benchmarks."""
-        return list(self.iter_candidates(query_key))
-
-    def iter_candidates(
-        self, query_key: PatternKey
-    ) -> Iterator[tuple[TrajectoryPattern, PatternKey]]:
-        """Generator form of :meth:`search_candidates`."""
-        qv = query_key.value
-        q_rk = qv & self._premise_mask
-        q_ck = qv >> self.codec.premise_length
-        if q_rk == 0 or q_ck == 0:
-            return  # Intersect can never hold against an empty part
-
-        def predicate(sig: int) -> bool:
-            return (sig & self._premise_mask) & q_rk != 0 and (
-                sig >> self.codec.premise_length
-            ) & q_ck != 0
-
-        for entry in self.iter_search(predicate):
-            yield entry.payload, self.codec.wrap(entry.signature)
-
     def search_by_consequence(
         self, consequence_mask: int
     ) -> list[tuple[TrajectoryPattern, PatternKey]]:
@@ -305,25 +283,6 @@ class TrajectoryPatternTree(SignatureTree):
                 if seq not in hits:
                     hits[seq] = (pattern, key)
         return [hits[seq] for seq in sorted(hits)]
-
-    def search_by_consequence_descent(
-        self, consequence_mask: int
-    ) -> list[tuple[TrajectoryPattern, PatternKey]]:
-        """Reference implementation of :meth:`search_by_consequence` via
-        tree descent — kept for A/B verification and benchmarks."""
-        if consequence_mask < 0:
-            raise ValueError("consequence_mask must be non-negative")
-        if consequence_mask == 0:
-            return []
-        shift = self.codec.premise_length
-
-        def predicate(sig: int) -> bool:
-            return (sig >> shift) & consequence_mask != 0
-
-        return [
-            (entry.payload, self.codec.wrap(entry.signature))
-            for entry in self.iter_search(predicate)
-        ]
 
     def all_patterns(self) -> list[TrajectoryPattern]:
         """Every indexed pattern (tree order)."""

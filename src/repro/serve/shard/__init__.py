@@ -13,12 +13,12 @@ Scales :mod:`repro.serve` past one CPU by partitioning the fleet over
   shard's slice of the fleet, speaking the same JSON-over-HTTP protocol
   on a local socket;
 * :mod:`~repro.serve.shard.forwarding` — bounded per-shard forwarding
-  queues with priority, eviction, and watermark backpressure;
-* :mod:`~repro.serve.shard.router` — the router: admission-controlled
-  HTTP front-end that forwards single-object requests to the owning
-  shard byte-for-byte, scatter-gathers fleet-wide requests, aggregates
-  shard metrics, and degrades (stale cache → 503 + Retry-After) when a
-  shard is down;
+  queues with priority order and eviction at capacity;
+* :mod:`~repro.serve.shard.router` — the router: HTTP front-end whose
+  admission controller is its one shedding policy; it forwards
+  single-object requests to the owning shard byte-for-byte,
+  scatter-gathers fleet-wide requests, aggregates shard metrics, and
+  degrades (stale cache → 503 + Retry-After) when a shard is down;
 * :mod:`~repro.serve.shard.cluster` — worker lifecycle: spawn,
   readiness, crash restart with backoff, graceful SIGTERM drain.
 

@@ -3,13 +3,13 @@
 The router must never let one slow or dead shard absorb unbounded
 memory or drag every other shard's traffic down.  Each shard gets:
 
-* a :class:`ForwardQueue` — a bounded priority queue with the same
-  traffic philosophy as the PR 6 admission controller, applied per
-  shard: predicts outrank ingests outrank background scatter work;
-  above a high watermark the queue sheds lower-priority arrivals until
-  depth falls to the low watermark (hysteresis); at capacity a
+* a :class:`ForwardQueue` — a bounded priority queue: predicts outrank
+  ingests outrank background scatter work; at capacity a
   higher-priority arrival **evicts** the newest lowest-priority queued
-  job (which fails fast with a shed) instead of being refused.
+  job (which fails fast with a shed) instead of being refused.  The
+  bound only isolates one slow shard; load shedding is the router's
+  admission controller's job (per-class slots, the total-depth
+  watermark, per-client rate limits).
 * a :class:`ShardForwarder` — a small pool of pump tasks, each owning
   one keep-alive HTTP connection to the worker, draining the queue in
   priority order.  Transport failures reconnect and retry once for
@@ -71,46 +71,20 @@ class ForwardJob:
 
 
 class ForwardQueue:
-    """Bounded priority queue with eviction and watermark backpressure."""
+    """Bounded priority queue that evicts the lowest priority at capacity."""
 
-    def __init__(
-        self,
-        max_depth: int = 128,
-        high_watermark: int | None = None,
-        low_watermark: int | None = None,
-    ):
+    def __init__(self, max_depth: int = 128):
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
-        self.high_watermark = (
-            high_watermark if high_watermark is not None else (3 * max_depth) // 4
-        )
-        self.low_watermark = (
-            low_watermark if low_watermark is not None else max_depth // 4
-        )
-        if not 0 <= self.low_watermark <= self.high_watermark <= max_depth:
-            raise ValueError(
-                f"need 0 <= low ({self.low_watermark}) <= high "
-                f"({self.high_watermark}) <= max_depth ({max_depth})"
-            )
         self._entries: list[tuple[int, int, ForwardJob]] = []
         self._seq = itertools.count()
         self._available = asyncio.Event()
-        self._shedding = False
         self._closed = False
-        self.stats = {
-            "offered": 0,
-            "shed_watermark": 0,
-            "shed_full": 0,
-            "evicted": 0,
-        }
+        self.stats = {"offered": 0, "shed_full": 0, "evicted": 0}
 
     def depth(self) -> int:
         return len(self._entries)
-
-    @property
-    def shedding(self) -> bool:
-        return self._shedding
 
     def offer(self, job: ForwardJob) -> None:
         """Enqueue ``job`` or raise :class:`QueueFullError`.
@@ -122,18 +96,7 @@ class ForwardQueue:
         if self._closed:
             raise QueueFullError("queue closed")
         self.stats["offered"] += 1
-        depth = len(self._entries)
-        # Watermark hysteresis on queue depth, mirroring the admission
-        # controller: once over high, lower-priority work is shed until
-        # depth decays to low.
-        if self._shedding and depth <= self.low_watermark:
-            self._shedding = False
-        if depth >= self.high_watermark:
-            self._shedding = True
-        if self._shedding and job.priority > FORWARD_PRIORITIES["predict"]:
-            self.stats["shed_watermark"] += 1
-            raise QueueFullError("watermark")
-        if depth >= self.max_depth:
+        if len(self._entries) >= self.max_depth:
             victim_index = self._worst_index()
             victim = (
                 self._entries[victim_index][2]

@@ -5,8 +5,9 @@
 ``metrics``, ``admission``, ``chaos``, ``drain``), so
 :class:`RouterServer` inherits the whole hardened HTTP front-end —
 keep-alive framing, read limits, slow-loris reaping, admission control
-with watermarks and per-client rate limits — and only swaps request
-*handling* for request *forwarding*:
+with watermarks and per-client rate limits (the router's only shedding
+policy; per-shard queues merely bound a slow shard) — and only swaps
+request *handling* for request *forwarding*:
 
 * ``POST /predict`` / ``POST /ingest`` — consistent-hash the object id,
   forward the request **byte-for-byte** through the owning shard's
@@ -71,10 +72,6 @@ class RouterConfig:
     salt: str = "hpm-ring"
     #: bounded depth of each shard's forwarding queue
     queue_depth: int = 128
-    #: queue depth that trips lower-priority shedding (default 3/4 depth)
-    queue_high_watermark: int | None = None
-    #: queue depth at which shedding clears (default 1/4 depth)
-    queue_low_watermark: int | None = None
     #: keep-alive connections pumping each shard's queue
     pump_concurrency: int = 4
     #: seconds a forwarded request may wait end-to-end before failover
@@ -163,11 +160,7 @@ class RouterService:
             shard_id,
             host,
             port,
-            queue=ForwardQueue(
-                max_depth=self.router_config.queue_depth,
-                high_watermark=self.router_config.queue_high_watermark,
-                low_watermark=self.router_config.queue_low_watermark,
-            ),
+            queue=ForwardQueue(self.router_config.queue_depth),
             concurrency=self.router_config.pump_concurrency,
             metrics=self.metrics,
         )

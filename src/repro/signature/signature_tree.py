@@ -26,7 +26,7 @@ Structure
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import bitset
 
@@ -375,26 +375,12 @@ class SignatureTree:
 
     def search(self, predicate: Callable[[int], bool]) -> list[LeafEntry]:
         """All leaf entries whose signature satisfies an OR-monotone predicate."""
-        return list(self.iter_search(predicate))
-
-    def iter_search(self, predicate: Callable[[int], bool]) -> Iterator[LeafEntry]:
-        """Depth-first generator over matching leaf entries."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for entry in node.entries:
-                    if predicate(entry.signature):
-                        yield entry
-            else:
-                for sig, child in zip(node.signatures, node.children):
-                    if predicate(sig):
-                        stack.append(child)
+        return self.search_stats(predicate)[0]
 
     def search_stats(
         self, predicate: Callable[[int], bool]
     ) -> tuple[list[LeafEntry], int]:
-        """Like :meth:`search`, additionally counting visited nodes.
+        """Depth-first :meth:`search`, also counting visited nodes.
 
         The node count is the machine-independent search-cost metric used
         by the index ablations (clustering quality shows up as fewer

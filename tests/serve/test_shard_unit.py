@@ -112,26 +112,27 @@ class TestForwardQueue:
 
         asyncio.run(body())
 
-    def test_watermark_sheds_lower_priority_with_hysteresis(self):
+    def test_ingest_near_capacity_is_queued_behind_predicts(self):
+        """Below capacity nothing is shed (that is the admission
+        controller's job): an ingest offered at 3/4 of capacity waits
+        behind the queued predicts."""
+
         async def body():
-            queue = ForwardQueue(max_depth=8, high_watermark=4, low_watermark=1)
-            for _ in range(4):
-                queue.offer(make_job("predict"))
-            with pytest.raises(QueueFullError, match="watermark"):
-                queue.offer(make_job("ingest"))
-            # Predicts still pass while shedding.
-            queue.offer(make_job("predict"))
-            # Drain below the low watermark: shedding clears.
-            while queue.depth() > 1:
-                await queue.take()
-            queue.offer(make_job("ingest"))
-            assert queue.stats["shed_watermark"] == 1
+            queue = ForwardQueue(max_depth=8)
+            predicts = [make_job("predict") for _ in range(6)]
+            for job in predicts:
+                queue.offer(job)
+            ingest = make_job("ingest")
+            queue.offer(ingest)
+            assert queue.depth() == 7
+            taken = [await queue.take() for _ in range(7)]
+            assert taken == predicts + [ingest]
 
         asyncio.run(body())
 
     def test_eviction_fails_newest_lowest_priority_job(self):
         async def body():
-            queue = ForwardQueue(max_depth=3, high_watermark=3, low_watermark=0)
+            queue = ForwardQueue(max_depth=3)
             victim_old = make_job("background")
             victim_new = make_job("background")
             keeper = make_job("predict")
@@ -142,25 +143,27 @@ class TestForwardQueue:
             with pytest.raises(QueueFullError, match="evicted"):
                 victim_new.future.result()
             assert not victim_old.future.done()
-            # At capacity a lower-priority arrival sheds at the
-            # watermark before it could ever evict its betters.
-            with pytest.raises(QueueFullError, match="watermark"):
+            # At capacity a background arrival has no lower-priority
+            # victim to evict, so it is refused.
+            with pytest.raises(QueueFullError, match="queue full"):
                 queue.offer(make_job("background"))
+            assert queue.stats == {"offered": 5, "shed_full": 1, "evicted": 1}
             # take() skips the evicted corpse silently.
             taken = [await queue.take() for _ in range(3)]
             assert victim_new not in taken
+            assert taken[-1] is victim_old
+
+        asyncio.run(body())
 
     def test_full_queue_of_equals_refuses_new_arrivals(self):
         async def body():
-            queue = ForwardQueue(max_depth=2, high_watermark=2, low_watermark=0)
+            queue = ForwardQueue(max_depth=2)
             queue.offer(make_job("predict"))
             queue.offer(make_job("predict"))
             # No lower-priority victim available: refuse, evict nothing.
             with pytest.raises(QueueFullError, match="queue full"):
                 queue.offer(make_job("predict"))
             assert queue.depth() == 2
-
-        asyncio.run(body())
 
         asyncio.run(body())
 
@@ -181,11 +184,9 @@ class TestForwardQueue:
 
         asyncio.run(body())
 
-    def test_bad_watermarks_raise(self):
-        with pytest.raises(ValueError):
+    def test_bad_max_depth_raises(self):
+        with pytest.raises(ValueError, match="max_depth"):
             ForwardQueue(max_depth=0)
-        with pytest.raises(ValueError):
-            ForwardQueue(max_depth=8, high_watermark=2, low_watermark=5)
 
 
 # ----------------------------------------------------------------------
