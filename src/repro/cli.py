@@ -117,10 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LRU capacity of the prediction cache")
     serve.add_argument("--cache-ttl", type=float, default=30.0,
                        help="seconds a cached answer stays valid (0 disables caching)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="coalescing delay for concurrent predicts (0 disables batching)")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="flush a batch early at this many distinct requests")
+                       help="most distinct predicts one batched model pass holds")
     serve.add_argument("--update-after", type=int, default=None,
                        help="refit an object after this many ingested fixes")
     serve.add_argument("--refit-mode", choices=("delta", "full"), default=None,
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="drain grace on SIGTERM")
     shard_worker.add_argument("--warmup-workers", type=int, default=None)
     shard_worker.add_argument("--cache-ttl", type=float, default=30.0)
-    shard_worker.add_argument("--batch-window-ms", type=float, default=2.0)
     shard_worker.add_argument("--update-after", type=int, default=None)
     shard_worker.add_argument("--refit-mode", choices=("delta", "full"), default=None)
     shard_worker.add_argument("--refit-full-every", type=int, default=None)
@@ -424,13 +421,11 @@ def _cmd_serve(args) -> int:
         cache_entries=args.cache_entries,
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         max_batch=args.max_batch,
-        batch_delay=args.batch_window_ms / 1000.0,
         update_after=args.update_after,
         refit_mode=args.refit_mode,
         refit_full_every=args.refit_full_every,
         gap_policy=args.gap_policy,
         enable_cache=args.cache_ttl > 0,
-        enable_batching=args.batch_window_ms > 0,
         max_inflight_predict=args.max_inflight_predict,
         max_inflight_ingest=args.max_inflight_ingest,
         client_rate=args.client_rate,
@@ -525,8 +520,6 @@ def _cmd_shard_worker(args) -> int:
     config = ServeConfig(
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         enable_cache=args.cache_ttl > 0,
-        batch_delay=args.batch_window_ms / 1000.0,
-        enable_batching=args.batch_window_ms > 0,
         update_after=args.update_after,
         refit_mode=args.refit_mode,
         refit_full_every=args.refit_full_every,

@@ -54,7 +54,7 @@ from .tpt import TrajectoryPatternTree
 __all__ = ["Prediction", "PreparedQuery", "map_window_to_regions"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """One predicted location with its provenance.
 

@@ -1,41 +1,52 @@
-"""Request batching: coalesce concurrent predict calls into one pass.
+"""Request batching: group-commit concurrent predict calls per key.
 
-Under load, many clients query the same object inside one event-loop
-tick.  Executing each query as its own executor job pays the
-lock-acquire / thread-handoff cost per request and re-walks shared
-per-object state.  The batcher instead holds the first request for a key
-back for a short window (``max_delay``), collects everything else that
-arrives for that key, and runs the whole batch as **one** executor pass
-— one lock acquisition, one model context.  Identical requests inside a
-window are deduplicated: they share a single computation and its result.
+Under load, many clients query the same object at once.  Executing each
+query as its own executor job pays the lock-acquire / thread-handoff
+cost per request and re-walks shared per-object state.  The batcher runs
+them as batches instead — one executor pass per batch, one lock
+acquisition, one model context — without ever holding a request back to
+wait for company (group commit, Nagle off):
 
-A batch flushes early the moment it reaches ``max_batch`` distinct
-requests, so the delay window bounds tail latency while the size bound
-caps memory.  The executed callable is synchronous (model passes are
-CPU work); it runs on the event loop's default executor so the loop
-stays responsive.
+* Each key has at most one executing batch.  A submit for an idle key
+  starts a batch on the next event-loop iteration, so requests from the
+  same tick still join it, and a lone request runs at once.
+* Requests that arrive while a batch executes queue into the next
+  batch, which starts the moment the running one finishes.  A queued
+  batch holds at most ``max_batch`` distinct requests; beyond that the
+  queue grows another batch.
+* Identical requests inside a queued batch are deduplicated: they share
+  a single computation and its result.  A request never joins a batch
+  that is already executing.
+
+The executed callable is synchronous (model passes are CPU work); it
+runs on the event loop's default executor so the loop stays responsive.
+An executor error fails only that batch's waiters; the key's next batch
+still runs.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Callable, Hashable, Sequence
 
 __all__ = ["RequestBatcher"]
 
 
-class _Batch:
-    __slots__ = ("futures", "closed", "timer")
+class _Lane:
+    """One key's work: queued batches and the task draining them."""
+
+    __slots__ = ("queue", "task")
 
     def __init__(self) -> None:
-        # request -> future; dict preserves arrival order and dedupes.
-        self.futures: dict[Hashable, asyncio.Future] = {}
-        self.closed = False
-        self.timer: asyncio.Task | None = None
+        # Each batch maps request -> future; dicts keep arrival order
+        # and dedupe twins.
+        self.queue: deque[dict[Hashable, asyncio.Future]] = deque()
+        self.task: asyncio.Task | None = None
 
 
 class RequestBatcher:
-    """Coalesce concurrent ``submit`` calls per key into batched passes.
+    """Group-commit concurrent ``submit`` calls per key into batched passes.
 
     Parameters
     ----------
@@ -44,9 +55,7 @@ class RequestBatcher:
         with the batch's distinct requests in arrival order; must return
         one result per request.  Runs in the default executor.
     max_batch:
-        Flush as soon as a batch holds this many distinct requests.
-    max_delay:
-        Seconds the first request in a batch waits for company.
+        Most distinct requests one batch holds.
     metrics:
         Optional :class:`~repro.serve.metrics.MetricsRegistry` for batch
         size / coalescing telemetry.
@@ -56,88 +65,63 @@ class RequestBatcher:
         self,
         execute: Callable[[Hashable, Sequence[Hashable]], Sequence[Any]],
         max_batch: int = 32,
-        max_delay: float = 0.002,
         metrics=None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.execute = execute
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.metrics = metrics
-        self._pending: dict[Hashable, _Batch] = {}
+        self._lanes: dict[Hashable, _Lane] = {}
         self.submitted = 0
         self.coalesced = 0
         self.batches = 0
-        self.largest_batch = 0
 
     async def submit(self, key: Hashable, request: Hashable) -> Any:
-        """Enqueue ``request`` under ``key``; resolves with its result."""
+        """Queue ``request`` under ``key``; resolves with its result."""
         self.submitted += 1
         if self.metrics is not None:
             self.metrics.counter("serve_batch_submitted_total").inc()
-        batch = self._pending.get(key)
-        if batch is None or batch.closed:
-            batch = _Batch()
-            self._pending[key] = batch
-            batch.timer = asyncio.get_running_loop().create_task(
-                self._flush_after_delay(key, batch)
-            )
-        future = batch.futures.get(request)
-        if future is None:
-            future = asyncio.get_running_loop().create_future()
-            batch.futures[request] = future
-            if len(batch.futures) >= self.max_batch:
-                self._close(key, batch)
-                if batch.timer is not None:
-                    batch.timer.cancel()
-                asyncio.get_running_loop().create_task(self._run(key, batch))
-        else:
-            # A twin request is already in flight: share its result.
-            self.coalesced += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve_batch_coalesced_total").inc()
+        loop = asyncio.get_running_loop()
+        lane = self._lanes.get(key)
+        if lane is None:
+            # The lane's task first runs on the next loop iteration, so
+            # submits from this tick still join its first batch.
+            lane = self._lanes[key] = _Lane()
+            lane.task = loop.create_task(self._run_lane(key, lane))
+        for batch in lane.queue:
+            future = batch.get(request)
+            if future is not None:
+                # A twin request is already queued: share its result.
+                self.coalesced += 1
+                if self.metrics is not None:
+                    self.metrics.counter("serve_batch_coalesced_total").inc()
+                return await future
+        if not lane.queue or len(lane.queue[-1]) >= self.max_batch:
+            lane.queue.append({})
+        future = lane.queue[-1][request] = loop.create_future()
         return await future
 
     async def drain(self) -> None:
-        """Flush every pending batch immediately (shutdown/tests)."""
-        batches = [
-            (key, batch)
-            for key, batch in list(self._pending.items())
-            if not batch.closed
-        ]
-        for key, batch in batches:
-            self._close(key, batch)
-            if batch.timer is not None:
-                batch.timer.cancel()
-        await asyncio.gather(
-            *(self._run(key, batch) for key, batch in batches)
-        )
+        """Wait until no key has queued or executing work."""
+        while self._lanes:
+            await asyncio.wait([lane.task for lane in self._lanes.values()])
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _close(self, key: Hashable, batch: _Batch) -> None:
-        batch.closed = True
-        if self._pending.get(key) is batch:
-            del self._pending[key]
-
-    async def _flush_after_delay(self, key: Hashable, batch: _Batch) -> None:
+    async def _run_lane(self, key: Hashable, lane: _Lane) -> None:
         try:
-            await asyncio.sleep(self.max_delay)
-        except asyncio.CancelledError:
-            return
-        if batch.closed:
-            return
-        self._close(key, batch)
-        await self._run(key, batch)
+            while lane.queue:
+                await self._run(key, lane.queue.popleft())
+        finally:
+            del self._lanes[key]
 
-    async def _run(self, key: Hashable, batch: _Batch) -> None:
-        requests = list(batch.futures)
+    async def _run(
+        self, key: Hashable, batch: dict[Hashable, asyncio.Future]
+    ) -> None:
+        requests = list(batch)
         self.batches += 1
-        self.largest_batch = max(self.largest_batch, len(requests))
         if self.metrics is not None:
             self.metrics.counter("serve_batches_total").inc()
             self.metrics.histogram(
@@ -155,24 +139,10 @@ class RequestBatcher:
                     f"for {len(requests)} requests"
                 )
         except Exception as exc:  # propagate to every waiter
-            for future in batch.futures.values():
+            for future in batch.values():
                 if not future.done():
                     future.set_exception(exc)
             return
-        for future, result in zip(batch.futures.values(), results):
+        for future, result in zip(batch.values(), results):
             if not future.done():
                 future.set_result(result)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"RequestBatcher(max_batch={self.max_batch}, "
-            f"max_delay={self.max_delay}, batches={self.batches})"
-        )

@@ -11,13 +11,15 @@ Eviction is twofold: least-recently-used beyond ``max_entries``, and a
 per-entry TTL so a cached answer can never outlive the freshness window
 the operator configured.  ``invalidate`` drops every entry for an object
 the moment new fixes arrive, keeping served answers consistent with the
-tracker state.
+tracker state.  It also bumps the object's generation, so a ``put`` of
+an answer computed before the invalidation is dropped.
 
 Thread-safe; the clock is injectable for deterministic tests.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from collections import OrderedDict
@@ -68,6 +70,7 @@ class PredictionCache:
         self.metrics = metrics
         self._entries: OrderedDict[tuple, tuple[float, Any]] = OrderedDict()
         self._by_object: dict[str, set[tuple]] = {}
+        self._generations: dict[str, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -85,12 +88,22 @@ class PredictionCache:
         query_time: int,
         k: int | None,
     ) -> tuple:
-        """Cache key: (object, quantised recent window, query time, k)."""
+        """Cache key: (object, quantised recent window, query time, k).
+
+        The window packs into int64 ``(t, round(x/q), round(y/q))``
+        triples; a non-finite or out-of-range fix raises ``ValueError``.
+        """
         q = self.quantum
-        window = tuple(
-            (p.t, round(p.x / q), round(p.y / q)) for p in recent
-        )
+        values = [v for p in recent for v in (p.t, p.x / q, p.y / q)]
+        try:
+            window = struct.pack(f"<{len(values)}q", *map(round, values))
+        except (OverflowError, ValueError, struct.error):
+            raise ValueError("non-finite or out-of-range fix in window") from None
         return (object_id, window, int(query_time), k)
+
+    def generation(self, object_id: str) -> int:
+        """How many times ``object_id`` has been invalidated."""
+        return self._generations.get(object_id, 0)
 
     # ------------------------------------------------------------------
     # storage
@@ -146,9 +159,13 @@ class PredictionCache:
             self._count("serve_cache_misses_total")
             return None, False
 
-    def put(self, key: tuple, value: Any) -> None:
-        """Store ``value``; evicts the LRU entry beyond capacity."""
+    def put(self, key: tuple, value: Any, generation: int) -> None:
+        """Store ``value`` computed at the object's ``generation``; evicts
+        the LRU entry beyond capacity.  Dropped if the object has been
+        invalidated since."""
         with self._lock:
+            if generation != self.generation(key[0]):
+                return
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = (self.clock(), value)
@@ -163,6 +180,7 @@ class PredictionCache:
     def invalidate(self, object_id: str) -> int:
         """Drop every entry for ``object_id``; returns how many."""
         with self._lock:
+            self._generations[object_id] = self.generation(object_id) + 1
             keys = self._by_object.pop(object_id, set())
             for key in keys:
                 self._entries.pop(key, None)

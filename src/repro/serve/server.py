@@ -79,10 +79,8 @@ class ServeConfig:
     cache_ttl: float | None = 30.0
     cache_quantum: float = 1.0
     max_batch: int = 32
-    batch_delay: float = 0.002
     update_after: int | None = None
     enable_cache: bool = True
-    enable_batching: bool = True
     # --- admission control ---
     #: max in-flight predict requests before shedding with 503
     max_inflight_predict: int = 256
@@ -190,7 +188,6 @@ class PredictionService:
         self.batcher = RequestBatcher(
             self._execute_batch,
             max_batch=self.config.max_batch,
-            max_delay=self.config.batch_delay,
             metrics=self.metrics,
         )
         self.admission = AdmissionController(
@@ -292,6 +289,9 @@ class PredictionService:
         self.metrics.counter("serve_predict_requests_total").inc()
 
         key = self.cache.make_key(object_id, window, query_time, k)
+        # Read before the model pass: a refit that commits and
+        # invalidates meanwhile makes ``put`` drop this answer.
+        generation = self.cache.generation(object_id)
         stale = None
         if self.config.enable_cache:
             # Stale-while-refit read: a TTL-expired value rides along as
@@ -319,7 +319,7 @@ class PredictionService:
             self.metrics.counter("serve_deadline_timeouts_total").inc()
             return self._degraded_answer(object_id, window, query_time, stale)
         if self.config.enable_cache:
-            self.cache.put(key, predictions)
+            self.cache.put(key, predictions, generation)
         return predictions, False, False
 
     async def _predict_within(self, object_id, request, deadline):
@@ -331,21 +331,12 @@ class PredictionService:
                 # Pre-expired (e.g. overload delayed admission): degrade
                 # without queueing more work behind the congestion.
                 raise asyncio.TimeoutError
-        if self.config.enable_batching:
-            # Shield the shared batch future: a deadline on *this* waiter
-            # must not cancel the result out from under coalesced twins.
-            awaitable = asyncio.shield(
-                self.batcher.submit(object_id, request)
-            )
-        else:
-            awaitable = asyncio.get_running_loop().run_in_executor(
-                None, self._execute_batch, object_id, [request]
-            )
-        if remaining is not None:
-            result = await asyncio.wait_for(awaitable, timeout=remaining)
-        else:
-            result = await awaitable
-        return result if self.config.enable_batching else result[0]
+        # Shield the shared batch future: a deadline on *this* waiter
+        # must not cancel the result out from under coalesced twins.
+        shared = asyncio.shield(self.batcher.submit(object_id, request))
+        if remaining is None:
+            return await shared
+        return await asyncio.wait_for(shared, timeout=remaining)
 
     def _degraded_answer(self, object_id, window, query_time, stale):
         """The graceful-degradation ladder, cheapest viable rung first.

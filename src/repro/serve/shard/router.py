@@ -100,6 +100,9 @@ class _ShardState:
     objects: int = 0
     probe_task: asyncio.Task | None = None
     probe_client: HttpClient | None = None
+    #: set on teardown; ends the probe loop even when Python 3.11's
+    #: ``wait_for`` swallows the cancellation of a probe that just finished
+    stopped: bool = False
 
 
 class RouterService:
@@ -182,6 +185,7 @@ class RouterService:
         self._gauge_healthy()
 
     async def _teardown(self, state: _ShardState) -> None:
+        state.stopped = True
         if state.probe_task is not None:
             state.probe_task.cancel()
             with suppress(asyncio.CancelledError):
@@ -208,7 +212,7 @@ class RouterService:
     # ------------------------------------------------------------------
     async def _probe_loop(self, state: _ShardState) -> None:
         config = self.router_config
-        while True:
+        while not state.stopped:
             try:
                 status, _, body = await asyncio.wait_for(
                     state.probe_client.request("GET", "/healthz"),
@@ -290,6 +294,7 @@ class RouterService:
         object_id = _object_id(payload)
         shard_id = self.ring.shard_for(object_id)
         stale_key = (object_id, hashlib.sha1(body).digest())
+        generation = self._stale.generation(object_id)
         state = self._shards.get(shard_id)
 
         if state is not None and state.healthy:
@@ -321,7 +326,7 @@ class RouterService:
                         extra[_canonical_header(name)] = headers[name]
                 if status == 200 and request_class == "predict":
                     if headers.get("x-degraded") != "true":
-                        self._stale.put(stale_key, response)
+                        self._stale.put(stale_key, response, generation)
                 elif status == 200 and request_class == "ingest":
                     # The object's window moved; stale answers for the
                     # old window would outlive their usefulness.

@@ -1,5 +1,7 @@
 """Tests for FQP, BQP and the hybrid dispatch (Algorithms 2 and 3)."""
 
+import pickle
+
 import pytest
 
 from repro.core.config import HPMConfig
@@ -36,6 +38,11 @@ class TestPredictionDataclass:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             Prediction(location=Point(0, 0), method="teleport")
+
+    def test_slotted_and_picklable(self):
+        prediction = Prediction(location=Point(1.5, -2.0), method="fqp", score=0.25)
+        assert not hasattr(prediction, "__dict__")
+        assert pickle.loads(pickle.dumps(prediction)) == prediction
 
 
 class TestDispatch:

@@ -7,6 +7,8 @@ milliseconds but rich enough that FQP/BQP answer most queries.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,21 @@ def fleet(history, hpm_config) -> FleetPredictionModel:
     fleet = FleetPredictionModel(hpm_config)
     fleet.fit({"default": history})
     return fleet
+
+
+def gate_execute(service):
+    """Hold every model pass of ``service`` until ``release`` is set.
+
+    Returns ``(started, release)``; ``started`` is set once a pass is on
+    the executor, so a test can queue work behind it deterministically.
+    """
+    execute = service.batcher.execute
+    started, release = threading.Event(), threading.Event()
+
+    def gated(object_id, requests):
+        started.set()
+        assert release.wait(timeout=10.0), "gate never released"
+        return execute(object_id, requests)
+
+    service.batcher.execute = gated
+    return started, release

@@ -30,7 +30,7 @@ from repro.serve import (
 )
 from repro.serve.chaos import ChaosError
 
-from tests.serve.conftest import commuter_base
+from tests.serve.conftest import commuter_base, gate_execute
 
 
 # ----------------------------------------------------------------------
@@ -775,33 +775,53 @@ class TestDeadlineDegradation:
         self, fleet, history
     ):
         """A deadline cancelling one waiter must not cancel the shared
-        batch future out from under an identical coalesced request."""
+        batch future out from under an identical coalesced request.
+
+        A gated pass keeps the object's batch running; the patient and
+        hasty twins then share the queued batch behind it.
+        """
         payload = predict_payload(history)
+        blocker_payload = dict(payload, query_time=payload["query_time"] + 1)
 
         async def scenario(service, server, client):
-            slow_execute(service, 0.2)
-            other = HttpClient("127.0.0.1", server.port)
+            started, release = gate_execute(service)
+            loop = asyncio.get_running_loop()
+            clients = [HttpClient("127.0.0.1", server.port) for _ in range(2)]
             try:
-                patient = asyncio.create_task(
-                    client.request("POST", "/predict", payload)
+                blocker = asyncio.create_task(
+                    client.request("POST", "/predict", blocker_payload)
                 )
-                await asyncio.sleep(0.01)
-                status_hasty, headers_hasty, _ = await other.request(
+                assert await loop.run_in_executor(None, started.wait, 10.0)
+                patient = asyncio.create_task(
+                    clients[0].request("POST", "/predict", payload)
+                )
+
+                async def patient_queued():
+                    while service.batcher.submitted < 2:
+                        await asyncio.sleep(0.001)
+
+                await asyncio.wait_for(patient_queued(), 10.0)
+                status_hasty, headers_hasty, _ = await clients[1].request(
                     "POST", "/predict", dict(payload, deadline_ms=50)
                 )
+                assert service.batcher.coalesced == 1
+                assert not patient.done()
+                release.set()
                 status_patient, headers_patient, _ = await patient
+                status_blocker, _, _ = await blocker
             finally:
-                await other.close()
+                release.set()
+                for other in clients:
+                    await other.close()
             assert status_hasty == 200
             assert headers_hasty.get("x-degraded") == "true"
             assert status_patient == 200
             assert "x-degraded" not in headers_patient
+            assert status_blocker == 200
+            # Blocker alone, then the twins' shared batch.
+            assert service.batcher.batches == 2
 
-        serve_test(
-            fleet,
-            ServeConfig(enable_cache=False, batch_delay=0.05),
-            scenario,
-        )
+        serve_test(fleet, ServeConfig(enable_cache=False), scenario)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.serve import (
     run_loadgen,
 )
 
-from tests.serve.conftest import commuter_base
+from tests.serve.conftest import commuter_base, gate_execute
 
 
 def serve_test(fleet, config, scenario):
@@ -157,24 +157,70 @@ class TestPredict:
 
         serve_test(fleet, ServeConfig(), scenario)
 
-    def test_batching_disabled_still_serves(self, fleet, history):
+    def test_refit_during_model_pass_does_not_cache_stale_answer(
+        self, fleet, history
+    ):
+        """An invalidation that lands while a model pass is on the
+        executor must keep that pass's (pre-invalidation) answer out of
+        the cache."""
         recent = new_day_window(history)
+        query_time = recent[-1][0] + 3
+
+        async def scenario():
+            service = PredictionService(fleet, ServeConfig())
+            started, release = gate_execute(service)
+            pending = asyncio.ensure_future(
+                service.predict("default", recent, query_time)
+            )
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, started.wait, 10.0)
+            # What a refit does once it has committed its new corpus.
+            service.cache.invalidate("default")
+            release.set()
+            _, cached, _ = await pending
+            assert not cached
+            entries = len(service.cache)
+            _, cached_again, _ = await service.predict(
+                "default", recent, query_time
+            )
+            await service.drain()
+            return entries, cached_again
+
+        entries, second_cached = asyncio.run(scenario())
+        assert entries == 0
+        assert second_cached is False
+
+    @pytest.mark.parametrize(
+        "fix",
+        [
+            (None, float("inf"), 1.0),
+            (None, 1.0, float("-inf")),
+            (None, float("nan"), 1.0),
+            (None, 1e300, 1.0),
+            (10**30, 1.0, 1.0),
+        ],
+        ids=["inf", "neg-inf", "nan", "huge-x", "huge-t"],
+    )
+    def test_non_finite_or_out_of_range_window_is_a_4xx(
+        self, fleet, history, fix
+    ):
+        recent = new_day_window(history)
+        t, x, y = fix
+        t = recent[-1][0] + 1 if t is None else t
         payload = {
             "object_id": "default",
-            "recent": [list(f) for f in recent],
-            "query_time": recent[-1][0] + 3,
+            "recent": [list(f) for f in recent] + [[t, x, y]],
+            "query_time": t + 3,
         }
 
         async def scenario(service, server, client):
             status, _, body = await client.request("POST", "/predict", payload)
-            assert status == 200
-            assert service.batcher.batches == 0
+            return status, json.loads(body)
 
-        serve_test(
-            fleet,
-            ServeConfig(enable_batching=False, enable_cache=False),
-            scenario,
-        )
+        for config in (ServeConfig(), ServeConfig(enable_cache=False)):
+            status, body = serve_test(fleet, config, scenario)
+            assert 400 <= status < 500, body
+            assert "error" in body
 
 
 class TestIngest:
