@@ -524,6 +524,19 @@ class FleetPredictionModel:
                 out[object_id] = model.predict_prepared(plan, query_time, k=1)[0]
         return out
 
+    def prewarm_locate_cache(self, limit: int = 512) -> int:
+        """Prime every object's region-locate memo from its history tail.
+
+        The serve paths call this on a freshly loaded fleet — a snapshot
+        restore and a shard worker alike — so no object answers its first
+        queries cold (see
+        :meth:`HybridPredictionModel.prewarm_locate_cache`).  Returns the
+        total number of probes issued.
+        """
+        with self._registry_lock:
+            models = list(self._models.values())
+        return sum(model.prewarm_locate_cache(limit) for model in models)
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -659,7 +659,7 @@ class HybridPredictionModel:
 
         ``RegionSet.locate``'s LRU is dropped on pickle, so a model
         restored from a snapshot starts cold and its first queries pay
-        per-region KD-tree probes.  Query windows are cut from the tail of
+        block scans.  Query windows are cut from the tail of
         the same history this model was fitted (or last updated) on, so
         replaying the last ``limit`` samples — row ``i`` carries offset
         ``(start_time + i) mod T`` — re-creates exactly the cache keys

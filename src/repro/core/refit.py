@@ -8,7 +8,7 @@ concatenated history, at a fraction of the cost:
 * :func:`delta_discover_frequent_regions` re-clusters only the *dirty*
   offsets — the ``(start_time + row) mod T`` cells that actually received
   new rows.  Offset groups are independent in DBSCAN, so regions at clean
-  offsets are reused verbatim (same objects, same KD-trees).  Regions
+  offsets are reused verbatim (the same objects).  Regions
   recomputed at a dirty offset are *interned*: when the re-clustered
   region is content-identical to the previous one at the same
   ``(offset, index)``, the old object is kept, which is what lets the
@@ -176,8 +176,8 @@ def delta_discover_frequent_regions(
     regions — regions whose content differs from the previous set at the
     same ``(offset, index)`` (including brand-new ones).  Clean-offset
     regions and content-identical recomputed regions are the *same
-    objects* as in ``old_regions`` (with their KD-trees carried over), so
-    downstream consumers can detect unchanged state by identity.
+    objects* as in ``old_regions``, so downstream consumers can detect
+    unchanged state by identity.
 
     Byte-identity: offset groups are disjoint, so re-running DBSCAN on the
     groups that gained rows while keeping the untouched groups' clusters
@@ -196,17 +196,10 @@ def delta_discover_frequent_regions(
 
     regions: list[FrequentRegion] = []
     changed: list[FrequentRegion] = []
-    kd_trees: dict = {}
-
-    def keep(region: FrequentRegion) -> None:
-        regions.append(region)
-        kd_trees[id(region)] = old_regions.kd_tree(region)
-
     for offset in range(period):
         old_here = old_regions.at_offset(offset)
         if offset not in dirty:
-            for region in old_here:
-                keep(region)
+            regions.extend(old_here)
             continue
         count = int(group_counts[offset])
         fresh: list[FrequentRegion] = []
@@ -219,15 +212,12 @@ def delta_discover_frequent_regions(
         for region in fresh:
             old = old_by_index.get(region.index)
             if old is not None and _region_content_equal(old, region):
-                keep(old)
+                regions.append(old)
             else:
                 regions.append(region)
                 changed.append(region)
         # Old regions whose index no longer exists simply drop out.
-    return (
-        RegionSet(regions, period=period, eps=eps, kd_trees=kd_trees),
-        changed,
-    )
+    return RegionSet(regions, period=period, eps=eps), changed
 
 
 def intern_regions(
@@ -243,22 +233,15 @@ def intern_regions(
     old_by_key = {(r.offset, r.index): r for r in old_regions}
     regions: list[FrequentRegion] = []
     changed: list[FrequentRegion] = []
-    kd_trees: dict = {}
     for region in new_regions:
         old = old_by_key.get((region.offset, region.index))
         if old is not None and _region_content_equal(old, region):
             regions.append(old)
-            kd_trees[id(old)] = old_regions.kd_tree(old)
         else:
             regions.append(region)
             changed.append(region)
     return (
-        RegionSet(
-            regions,
-            period=new_regions.period,
-            eps=new_regions.eps,
-            kd_trees=kd_trees,
-        ),
+        RegionSet(regions, period=new_regions.period, eps=new_regions.eps),
         changed,
     )
 

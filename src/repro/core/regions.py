@@ -11,12 +11,12 @@ we use ``R_t^j`` to represent the j-th frequent region at time offset t."
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..clustering.dbscan import dbscan
 from ..trajectory.point import BoundingBox, Point
@@ -53,7 +53,8 @@ def regions_from_arrays(
     ``region_points`` may be a memory-mapped block: each region's
     ``points`` attribute becomes a zero-copy slice view starting at
     ``points_start``, so constructing a fleet's regions touches no point
-    pages until a KD-tree or fingerprint actually reads them.
+    pages until a :class:`RegionSet` packs its locate blocks or a
+    fingerprint reads them.
     """
     rows = np.asarray(region_rows).tolist()
     geo = np.asarray(region_geo).tolist()
@@ -148,7 +149,10 @@ class RegionSet:
 
     Membership of an arbitrary location uses DBSCAN's density semantics: a
     point belongs to ``R_t^j`` when it lies within ``eps`` of one of the
-    region's member points.  Per-region KD-trees make this O(log m).
+    region's member points.  Each offset's member points are packed into
+    one block in canonical order, so a lookup is one vectorised scan of
+    that block.  An offset group holds at most one point per training
+    period, which keeps every block small.
     """
 
     def __init__(
@@ -156,7 +160,6 @@ class RegionSet:
         regions: Sequence[FrequentRegion],
         period: int,
         eps: float,
-        kd_trees: Mapping[int, cKDTree] | None = None,
     ):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
@@ -176,18 +179,25 @@ class RegionSet:
         self._by_offset: dict[int, list[FrequentRegion]] = {}
         for region in self._regions:
             self._by_offset.setdefault(region.offset, []).append(region)
-        # ``kd_trees`` lets the delta-refit path carry KD-trees over for
-        # regions reused verbatim from a previous set; it is keyed by
-        # id(region) so a *different* region at the same (offset, index)
-        # can never pick up a stale tree.
-        self._trees = {
-            region: (
-                kd_trees[id(region)]
-                if kd_trees is not None and id(region) in kd_trees
-                else cKDTree(region.points)
+        # Per offset: the x and y columns of its regions' member points,
+        # each region's start row within them, and its first region id.
+        sizes = [len(region) for region in self._regions]
+        if 0 in sizes:
+            raise ValueError("a frequent region needs at least one member point")
+        starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        points = np.concatenate(
+            [r.points for r in self._regions] or [np.empty((0, 2))]
+        ).astype(np.float64)
+        xs, ys = points[:, 0].copy(), points[:, 1].copy()
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+        first = 0
+        for offset, members in self._by_offset.items():
+            end = first + len(members)
+            lo, hi = starts[first], starts[end]
+            self._blocks[offset] = (
+                xs[lo:hi], ys[lo:hi], starts[first:end] - lo, first
             )
-            for region in self._regions
-        }
+            first = end
         self._locate_cache: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -222,13 +232,6 @@ class RegionSet:
         """Sorted offsets that have at least one frequent region."""
         return sorted(self._by_offset)
 
-    def kd_tree(self, region: FrequentRegion) -> cKDTree:
-        """The member KD-tree of ``region`` (for carry-over on delta refit)."""
-        try:
-            return self._trees[region]
-        except KeyError:
-            raise KeyError(f"{region.label} is not part of this region set") from None
-
     # LRU capacity for the locate memo.  Recent windows of live objects
     # revisit the same handful of (coordinate, offset) cells constantly —
     # serve batching, trajectory sweeps and repeated queries all hit.
@@ -243,7 +246,7 @@ class RegionSet:
 
         Answers are memoised in an LRU keyed on the exact coordinates and
         offset — the degenerate grid cell — so a cached answer is always
-        the answer the KD-tree lookup would give.
+        the answer :meth:`locate_uncached` would give.
         """
         xy = (point.x, point.y) if isinstance(point, Point) else (point[0], point[1])
         cache_key = (xy[0], xy[1], offset)
@@ -264,27 +267,39 @@ class RegionSet:
     def locate_uncached(
         self, point: Point | tuple[float, float], offset: int
     ) -> FrequentRegion | None:
-        """:meth:`locate` without the memo (reference implementation)."""
-        candidates = self.at_offset(offset)
-        if not candidates:
+        """:meth:`locate` without the memo: one scan of the offset's block.
+
+        Every member point at ``offset`` is ``sqrt(dx*dx + dy*dy)`` away;
+        ``np.minimum.reduceat`` takes each region's minimum.  The closest
+        region wins — the last in ``(offset, index)`` order on a tie — if
+        it lies within ``eps``.  Non-finite coordinates raise
+        :class:`ValueError`.
+        """
+        if not 0 <= offset < self.period:
+            raise ValueError(f"offset {offset} outside [0, {self.period})")
+        x, y = (point.x, point.y) if isinstance(point, Point) else (point[0], point[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite location ({x}, {y})")
+        block = self._blocks.get(offset)
+        if block is None:
             return None
-        xy = (point.x, point.y) if isinstance(point, Point) else (point[0], point[1])
-        best: FrequentRegion | None = None
-        best_dist = self.eps
-        for region in candidates:
-            dist, _ = self._trees[region].query(xy, k=1)
-            if dist <= best_dist:
-                best = region
-                best_dist = dist
-        return best
+        xs, ys, starts, first = block
+        dx = xs - x
+        dy = ys - y
+        dists = np.minimum.reduceat(np.sqrt(dx * dx + dy * dy), starts)
+        last = dists.shape[0] - 1 - int(np.argmin(dists[::-1]))
+        if dists[last] > self.eps:
+            return None
+        return self._regions[first + last]
 
     def prewarm_locate(self, samples: Iterable[tuple[float, float, int]]) -> int:
         """Prime the locate memo with ``(x, y, offset)`` probes.
 
         The memo is derived state and deliberately dropped on pickle
         (:meth:`__getstate__`), so a freshly restored snapshot answers its
-        first queries through per-region KD-tree lookups.  Warm-up paths
-        (``PredictionService.from_snapshot``) replay the history tail
+        first queries through block scans.  Warm-up paths
+        (``FleetPredictionModel.prewarm_locate_cache``, run by snapshot
+        restores and shard workers) replay the history tail
         through this so the steady-state working set — recent windows are
         cut from exactly those rows — is hot before traffic arrives.
         Returns the number of probes issued.

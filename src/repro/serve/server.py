@@ -241,17 +241,17 @@ class PredictionService:
         first request is accepted.
 
         ``prewarm_locate`` replays that many history-tail samples per
-        object through ``RegionSet.locate`` — the memo is dropped on
-        snapshot write, so without this the first requests after a
-        restore pay per-region KD-tree probes and cold-start p99 cliffs.
-        Pass 0 to skip.
+        object through ``RegionSet.locate``
+        (:meth:`FleetPredictionModel.prewarm_locate_cache`, which shard
+        workers run too) — the memo is dropped on snapshot write, so
+        without this the first requests after a restore pay block scans
+        and cold-start p99 cliffs.  Pass 0 to skip.
         """
         from ..core.persistence import load_fleet
 
         fleet = load_fleet(snapshot_dir, max_workers=warmup_workers)
         if prewarm_locate:
-            for object_id in fleet.object_ids():
-                fleet[object_id].prewarm_locate_cache(prewarm_locate)
+            fleet.prewarm_locate_cache(prewarm_locate)
         return cls(fleet, config, metrics)
 
     # ------------------------------------------------------------------
@@ -838,43 +838,45 @@ class PredictionServer:
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one request under the hardening limits.
 
-        Raises :class:`_HttpLimitError` (431/413) when a budget is
-        exceeded and :class:`asyncio.TimeoutError` when the client goes
-        idle mid-request (``ServeConfig.idle_timeout``).
+        One deadline (``ServeConfig.idle_timeout``) covers the whole
+        request — request line, headers and body — so a client trickling
+        header lines cannot hold a connection past it.  Raises
+        :class:`_HttpLimitError` (431/413/400) when a budget is exceeded
+        and :class:`asyncio.TimeoutError` when the deadline passes.
         """
+        return await asyncio.wait_for(
+            self._read_request_unbounded(reader),
+            self.service.config.idle_timeout,
+        )
+
+    async def _read_request_unbounded(self, reader: asyncio.StreamReader):
         config = self.service.config
-        line = await self._read_line(reader, config.idle_timeout)
-        if not line:
-            return None
-        header_bytes = len(line)
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
+            return None  # closed between requests or mid-head
+        except asyncio.LimitOverrunError:
+            raise _HttpLimitError(431, "request head too long") from None
+        # Request line and header lines with their CRLFs; not the blank line.
+        header_bytes = len(head) - 2
         if header_bytes > config.max_header_bytes:
             raise _HttpLimitError(
                 431,
-                f"request line of {header_bytes} bytes exceeds the "
+                f"request head of {header_bytes} bytes exceeds the "
                 f"{config.max_header_bytes}-byte header budget",
             )
-        parts = line.decode("latin-1").strip().split()
+        request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) < 2:
             return None
+        if len(lines) > config.max_headers:
+            raise _HttpLimitError(
+                431, f"more than {config.max_headers} request headers"
+            )
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            raw = await self._read_line(reader, config.idle_timeout)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            header_bytes += len(raw)
-            if header_bytes > config.max_header_bytes:
-                raise _HttpLimitError(
-                    431,
-                    f"headers exceed the {config.max_header_bytes}-byte "
-                    "budget",
-                )
-            if len(headers) >= config.max_headers:
-                raise _HttpLimitError(
-                    431,
-                    f"more than {config.max_headers} request headers",
-                )
-            name, _, value = raw.decode("latin-1").partition(":")
+        for raw in lines:
+            name, _, value = raw.partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", 0) or 0)
@@ -886,29 +888,8 @@ class PredictionServer:
                 f"request body of {length} bytes exceeds the "
                 f"{config.max_body_bytes}-byte limit",
             )
-        if length:
-            if config.idle_timeout is not None:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), config.idle_timeout
-                )
-            else:
-                body = await reader.readexactly(length)
-        else:
-            body = b""
+        body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
-
-    @staticmethod
-    async def _read_line(
-        reader: asyncio.StreamReader, timeout: float | None
-    ) -> bytes:
-        try:
-            if timeout is not None:
-                return await asyncio.wait_for(reader.readline(), timeout)
-            return await reader.readline()
-        except ValueError:
-            # StreamReader's internal line-length limit: a header line
-            # this long is over any sane budget.
-            raise _HttpLimitError(431, "request header line too long") from None
 
     @staticmethod
     def _write_response(

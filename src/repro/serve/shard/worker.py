@@ -109,6 +109,8 @@ async def run_worker(
         salt=salt,
         max_workers=max_workers,
     )
+    # The same warm-up as ``PredictionService.from_snapshot``.
+    fleet.prewarm_locate_cache()
     service = PredictionService(fleet, config or ServeConfig())
     service.metrics.gauge(
         "serve_shard_id", help="which shard this worker serves"

@@ -2,7 +2,7 @@
 
 Registers a hypothesis profile without per-example deadlines: several
 property tests build real index/mining structures whose first example
-pays one-off JIT-ish costs (KD-tree builds, numpy warmup) that trip the
+pays one-off JIT-ish costs (numpy warmup, first index builds) that trip the
 default 200 ms deadline only on cold caches.
 """
 

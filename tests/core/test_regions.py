@@ -1,10 +1,15 @@
 """Tests for frequent-region discovery and the RegionSet."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.regions import RegionSet, discover_frequent_regions
-from repro.trajectory import Point, Trajectory
+from repro.core.regions import FrequentRegion, RegionSet, discover_frequent_regions
+from repro.trajectory import BoundingBox, Point, Trajectory
 from tests.core.conftest import make_region
 
 
@@ -119,3 +124,133 @@ class TestRegionSet:
         same_slot = make_region(0, 0, 999.0, 999.0)
         assert same_slot == jane_regions["home"]  # (offset, index) identity
         assert hash(same_slot) == hash(jane_regions["home"])
+
+
+# ----------------------------------------------------------------------
+# locate exactness: the block scan against a plain-Python reference
+# ----------------------------------------------------------------------
+def reference_locate(region_set, xy, offset):
+    """The density-membership rule, one region and one point at a time.
+
+    Each region's distance is its closest member's
+    ``math.sqrt(dx*dx + dy*dy)``; the closest region within ``eps`` wins,
+    a later region (in ``(offset, index)`` order) on a tie.
+    """
+    x, y = xy
+    best, best_dist = None, region_set.eps
+    for region in region_set.at_offset(offset):
+        dist = min(
+            math.sqrt((px - x) * (px - x) + (py - y) * (py - y))
+            for px, py in region.points.tolist()
+        )
+        if dist <= best_dist:
+            best, best_dist = region, dist
+    return best
+
+
+def half_grid_region(offset, index, cells):
+    points = np.array(cells, dtype=float) / 2.0
+    return FrequentRegion(
+        offset=offset,
+        index=index,
+        center=Point(*points.mean(axis=0)),
+        points=points,
+        bbox=BoundingBox(*points.min(axis=0), *points.max(axis=0)),
+        subtrajectory_ids=tuple(range(len(cells))),
+    )
+
+
+half_cells = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def half_grid_worlds(draw):
+    """Region sets on a half-unit grid, so exact ties and exact-Eps
+    distances occur; offsets may be empty or hold several regions."""
+    period = draw(st.integers(1, 4))
+    regions = [
+        half_grid_region(offset, index, cells)
+        for offset in range(period)
+        for index, cells in enumerate(
+            draw(st.lists(st.lists(half_cells, min_size=1, max_size=5), max_size=3))
+        )
+    ]
+    eps = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+    queries = draw(
+        st.lists(
+            st.tuples(half_cells, st.integers(0, period - 1)), min_size=1, max_size=30
+        )
+    )
+    return (
+        RegionSet(regions, period=period, eps=eps),
+        [((cx / 2.0, cy / 2.0), offset) for (cx, cy), offset in queries],
+    )
+
+
+class TestLocateExactness:
+    @given(half_grid_worlds())
+    def test_matches_reference(self, world):
+        region_set, queries = world
+        for xy, offset in queries:
+            want = reference_locate(region_set, xy, offset)
+            got = region_set.locate_uncached(xy, offset)
+            assert got is want
+            assert region_set.locate(xy, offset) is want
+
+    @given(half_grid_worlds())
+    def test_matches_per_region_kd_trees(self, world):
+        cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+        region_set, queries = world
+        for xy, offset in queries:
+            want, best_dist = None, region_set.eps
+            for region in region_set.at_offset(offset):
+                dist, _ = cKDTree(region.points).query(xy, k=1)
+                if dist <= best_dist:
+                    want, best_dist = region, dist
+            assert region_set.locate_uncached(xy, offset) is want
+
+    def test_tie_goes_to_the_later_region(self):
+        left = half_grid_region(0, 0, [(-4, 0)])  # member at (-2, 0)
+        right = half_grid_region(0, 1, [(4, 0)])  # member at (2, 0)
+        region_set = RegionSet([left, right], period=1, eps=2.0)
+        assert region_set.locate_uncached((0.0, 0.0), 0) is right
+        assert region_set.locate_uncached((0.0, 1.0), 0) is None
+        # Exactly Eps away still counts; a hair beyond does not.
+        assert region_set.locate_uncached((-4.0, 0.0), 0) is left
+        assert region_set.locate_uncached((-4.0 - 1e-9, 0.0), 0) is None
+
+    def test_out_of_range_offset_raises(self, jane_region_set):
+        for offset in (-1, 3):
+            with pytest.raises(ValueError, match="outside"):
+                jane_region_set.locate_uncached((0.0, 0.0), offset)
+            with pytest.raises(ValueError, match="outside"):
+                jane_region_set.locate((0.0, 0.0), offset)
+
+    @pytest.mark.parametrize(
+        "xy", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)]
+    )
+    def test_non_finite_location_raises_at_every_offset(self, jane_region_set, xy):
+        sparse = RegionSet(list(jane_region_set)[:1], period=3, eps=5.0)
+        for region_set in (jane_region_set, sparse):
+            for offset in range(3):  # offsets 1 and 2 of sparse are empty
+                with pytest.raises(ValueError, match="non-finite"):
+                    region_set.locate_uncached(xy, offset)
+                with pytest.raises(ValueError, match="non-finite"):
+                    region_set.locate(xy, offset)
+
+    def test_region_without_points_rejected(self):
+        empty = FrequentRegion(
+            0, 0, Point(0.0, 0.0), np.empty((0, 2)), BoundingBox(0, 0, 0, 0), ()
+        )
+        with pytest.raises(ValueError, match="member point"):
+            RegionSet([empty], period=1, eps=1.0)
+
+    def test_pickle_round_trip(self, jane_region_set):
+        clone = pickle.loads(pickle.dumps(jane_region_set))
+        assert [r.label for r in clone] == [r.label for r in jane_region_set]
+        for x in (-3.0, 2.0, 99.0, 100.0, 199.5):
+            for offset in range(3):
+                for xy in ((x, 0.0), (0.0, x)):
+                    got = clone.locate_uncached(xy, offset)
+                    want = jane_region_set.locate_uncached(xy, offset)
+                    assert (got and got.label) == (want and want.label)

@@ -10,6 +10,7 @@ clocks, zero jitter, probability-1 fault plans.
 """
 
 import asyncio
+import contextlib
 import json
 import threading
 import time
@@ -649,6 +650,37 @@ class TestReadLimits:
             assert snapshot["serve_idle_timeouts_total"]["value"] == 1
 
         serve_test(fleet, ServeConfig(idle_timeout=0.1), scenario)
+
+    def test_header_trickle_is_reaped_by_one_request_deadline(self, fleet):
+        """One header line every 0.1 s never idles a single read past
+        0.2 s; the per-request deadline still reaps the connection."""
+
+        async def scenario(service, server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(b"GET /healthz HTTP/1.1\r\n")
+            started = time.monotonic()
+            data = None
+            for i in range(15):  # a 1.5 s probe
+                try:
+                    data = await asyncio.wait_for(reader.read(100), 0.1)
+                except asyncio.TimeoutError:
+                    writer.write(b"X-Trickle-%d: v\r\n" % i)
+                    continue
+                except ConnectionResetError:
+                    data = b""  # closed with trickled bytes still unread
+                break
+            held = time.monotonic() - started
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
+            assert data == b""  # server closed on us, no response
+            assert held < 1.0
+            snapshot = service.metrics.snapshot()
+            assert snapshot["serve_idle_timeouts_total"]["value"] == 1
+
+        serve_test(fleet, ServeConfig(idle_timeout=0.2), scenario)
 
     def test_slow_but_complete_request_still_served(self, fleet, history):
         payload = predict_payload(history)

@@ -399,3 +399,41 @@ class TestSnapshotWarmup:
         assert service.fleet.object_ids() == fleet.object_ids()
         assert service.fleet.total_patterns() == fleet.total_patterns()
         assert service.metrics.gauge("serve_objects").value == len(fleet)
+
+    def test_restore_and_predict_never_import_scipy(
+        self, fleet, history, tmp_path
+    ):
+        """Serving needs numpy only: a snapshot restore (with its locate
+        prewarm) and a predict run in a fresh interpreter never load
+        scipy."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.core.persistence import save_fleet
+
+        snapshot = tmp_path / "snapshot"
+        save_fleet(fleet, snapshot)
+        recent = new_day_window(history)
+        script = (
+            "import asyncio, sys\n"
+            "from repro.serve import PredictionService\n"
+            "service = PredictionService.from_snapshot(sys.argv[1])\n"
+            "async def main():\n"
+            f"    answer = await service.predict('default', {recent!r}, "
+            f"{recent[-1][0] + 3})\n"
+            "    await service.drain()\n"
+            "    return answer\n"
+            "predictions, _cached, _degraded = asyncio.run(main())\n"
+            "assert predictions\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(snapshot)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

@@ -287,6 +287,42 @@ class TestShardSnapshots:
         with pytest.raises(ValueError, match="split for ring"):
             load_shard_fleet(sharded, 0, 3)
 
+    def test_worker_prewarms_its_locate_memos(
+        self, multi_fleet, tmp_path, monkeypatch
+    ):
+        """A shard worker is warm when it reports ready, like a service
+        built with ``PredictionService.from_snapshot``."""
+        from repro.serve.shard import worker
+
+        plain = tmp_path / "plain"
+        save_fleet(multi_fleet, plain)
+        loaded = []
+
+        def recording_load(*args, **kwargs):
+            loaded.append(load_shard_fleet(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(worker, "load_shard_fleet", recording_load)
+        ready = tmp_path / "ready"
+
+        async def scenario():
+            task = asyncio.ensure_future(
+                worker.run_worker(plain, 0, 1, ready_file=ready)
+            )
+            try:
+                while not ready.exists():
+                    assert not task.done(), task
+                    await asyncio.sleep(0.01)
+            finally:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+
+        asyncio.run(scenario())
+        (fleet,) = loaded
+        assert fleet.object_ids() == sorted(OBJECT_IDS)
+        for object_id in fleet.object_ids():
+            assert len(fleet[object_id].regions_._locate_cache) > 0
+
     def test_split_merge_identity(self, multi_fleet, tmp_path):
         from repro.core.fingerprint import model_fingerprint
 
