@@ -32,12 +32,19 @@ index into every block:
     tree_entry_pattern        (E,)      pattern row of each leaf entry
     tree_node_sigs            (I, Sb)   internal-node signatures, bottom-up
                                         level order (root last)
-    kernel_buckets            (B, 3)    time_id, n_rows, table width
+    kernel_buckets            (B, 3)    time_id, n_rows, table width (one
+                                        width per object)
     kernel_rows               (K, 4)    seq, pattern row, support, cons offset
     kernel_conf               (K,)      candidate confidences
     kernel_cells_cols         (C,)      flattened sparse ``bit_cols``
     kernel_cells_weights      (C,)      flattened sparse ``bit_weights``
     ========================  ========  =======================================
+
+An object's kernel rows are its kernel block in bucket-major order, and
+its cells are that block's ``(rows, width)`` tables flattened, so the
+loader reshapes them into the block without a copy.  Snapshots written
+before the block stored each bucket at its own width; they load through
+one padding copy.
 
 Snapshots written while the kernel still carried velocity-filter speeds
 also hold a ``kernel_minspeed`` block and four retired config keys; the
@@ -79,6 +86,7 @@ old pages when a new snapshot is saved over it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from pathlib import Path
@@ -94,7 +102,7 @@ from .model import HybridPredictionModel
 from .parallel import run_keyed_tasks
 from .patterns import TrajectoryPattern
 from .regions import RegionSet, regions_from_arrays
-from .scorekernel import CandidatePack, ScoreKernel
+from .scorekernel import CandidatePack, ScoreKernel, pattern_array
 from .tpt import TrajectoryPatternTree
 
 __all__ = [
@@ -558,7 +566,9 @@ def _open_blocks(directory: Path, manifest: dict) -> dict[str, np.ndarray]:
             )
         if not arr.dtype.isnative:
             arr = arr.astype(arr.dtype.newbyteorder("="))
-        blocks[name] = arr
+        # A plain ndarray view of the mapping: slices of a ``np.memmap``
+        # each run its Python-level hooks and carry a ``__dict__``.
+        blocks[name] = arr.view(np.ndarray)
     return blocks
 
 
@@ -569,41 +579,55 @@ def _kernel_from_arrays(
     codec: KeyCodec,
     kind: str,
 ) -> ScoreKernel:
-    """Reassemble a :class:`ScoreKernel` from stored blocks (zero-copy).
+    """Reassemble a :class:`ScoreKernel` from stored blocks.
 
-    ``bit_cols``/``bit_weights``/``confidences`` stay views into the
-    mapped cell blocks; only the Python-level pattern lists are rebuilt.
+    The stored buckets are the kernel block's rows in order.  When every
+    bucket has one table width — what the writer emits — the cells are
+    reshaped into the block as views of the mapping, no copy.  Snapshots
+    written with per-bucket widths are padded into the block with one
+    copy.  Only the pattern array is rebuilt.
     """
     b0, b1 = index["buckets"]
     r0, r1 = index["rows"]
     c0, c1 = index["cells"]
     buckets = blocks["kernel_buckets"][b0:b1].tolist()
     rows = blocks["kernel_rows"][r0:r1]
-    conf = blocks["kernel_conf"][r0:r1]
     cols = blocks["kernel_cells_cols"][c0:c1]
     weights = blocks["kernel_cells_weights"][c0:c1]
-    packs: dict[int, CandidatePack] = {}
-    row_cursor = 0
-    cell_cursor = 0
-    for time_id, n, width in buckets:
-        row_slice = rows[row_cursor : row_cursor + n]
-        cells = slice(cell_cursor, cell_cursor + n * width)
-        packs[time_id] = CandidatePack(
-            seqs=row_slice[:, 0],
-            bit_cols=cols[cells].reshape(n, width).astype(np.intp, copy=False),
-            bit_weights=weights[cells].reshape(n, width),
-            confidences=conf[row_cursor : row_cursor + n],
-            supports=row_slice[:, 2],
-            cons_offsets=row_slice[:, 3],
-            patterns=[patterns[i] for i in row_slice[:, 1].tolist()],
-        )
-        row_cursor += n
-        cell_cursor += n * width
+    n_rows = rows.shape[0]
+    width = max((w for _t, _n, w in buckets), default=1)
+    if cols.shape[0] == n_rows * width:
+        bit_cols = cols.reshape(n_rows, width).astype(np.intp, copy=False)
+        bit_weights = weights.reshape(n_rows, width)
+    else:
+        bit_cols = np.zeros((n_rows, width), dtype=np.intp)
+        bit_weights = np.zeros((n_rows, width), dtype=np.float64)
+        row = cell = 0
+        for _time_id, n, w in buckets:
+            bit_cols[row : row + n, :w] = cols[cell : cell + n * w].reshape(n, w)
+            bit_weights[row : row + n, :w] = weights[cell : cell + n * w].reshape(
+                n, w
+            )
+            row += n
+            cell += n * w
+    counts = [0] * (codec.consequence_length + 1)
+    for time_id, n, _w in buckets:
+        counts[time_id + 1] = n
+    bounds = list(itertools.accumulate(counts))
+    block = CandidatePack(
+        seqs=rows[:, 0],
+        bit_cols=bit_cols,
+        bit_weights=bit_weights,
+        confidences=blocks["kernel_conf"][r0:r1],
+        supports=rows[:, 2],
+        cons_offsets=rows[:, 3],
+        patterns=pattern_array([patterns[i] for i in rows[:, 1].tolist()]),
+    )
     offset_time_ids = {
         offset: time_id
         for time_id, offset in enumerate(codec.consequence_offsets())
     }
-    return ScoreKernel(kind, codec.premise_length, packs, offset_time_ids)
+    return ScoreKernel(kind, codec.premise_length, block, bounds, offset_time_ids)
 
 
 def _unpack_tree(

@@ -273,8 +273,8 @@ class PreparedQuery:
         The consequence mask grows monotonically with the interval, so each
         enlargement round only encodes the two *new* edge sub-ranges; once
         the interval covers a full period the mask saturates.  Candidates
-        come from the kernel's merged bucket view of the mask instead of a
-        fresh tree descent per round.
+        are the kernel block's rows under the mask instead of a fresh tree
+        descent per round.
         """
         for relaxation, mask in self._bqp_enlargements(query_time):
             top = self._backward_kernel(mask, relaxation, query_time, k)
@@ -332,10 +332,12 @@ class PreparedQuery:
     def _backward_kernel(
         self, mask: int, relaxation: int, query_time: int, k: int
     ) -> list[tuple[float, TrajectoryPattern]] | None:
-        """Vectorized Eq. 5 over the merged bucket view: S_p =
+        """Vectorized Eq. 5 over the kernel rows under ``mask``: S_p =
         (S_r * min(1, d/(tq-tc)) + S_c) * c with S_c per Eq. 3, the same
-        elementwise operations in the same order as ``bqp_score``."""
-        pack = self._kernel.merged(mask) if mask else None
+        elementwise operations in the same order as ``bqp_score``.  The
+        mask's buckets are at most a few row ranges of the kernel block
+        (see :meth:`ScoreKernel.select`); ties break by ``seq``."""
+        pack = self._kernel.select(mask)
         if pack is None:
             return None
         cfg = self.config

@@ -1,14 +1,24 @@
-"""Vectorized query scoring kernel over packed TPT candidate buckets.
+"""Vectorized query scoring kernel over one packed TPT candidate block.
 
 This is the only candidate scorer on the query path: ``PreparedQuery``
 answers every FQP/BQP query (Algorithms 2-3, Eq. 2 and Eq. 5) by scoring
-whole consequence-offset buckets with it.  Each bucket is packed once
-into numpy arrays, so a query scores all of its candidates in a handful
-of array operations.  The per-candidate reference it is held to (tree
+row ranges of one packed block with it.  The block is packed once into
+numpy arrays, so a query scores all of its candidates in a handful of
+array operations.  The per-candidate reference it is held to (tree
 descent, uncached Eq. 1, full sort) lives in the test suite.
 
-Packed layout (one :class:`CandidatePack` per consequence time-id)
+Packed layout (one bucket-major :class:`CandidatePack` per kernel)
 ------------------------------------------------------------------
+Rows are grouped by consequence time-id in ascending order, with DFS
+``seq`` order inside each bucket; a ``time_id -> [start, end)`` table
+gives each bucket's rows.  A pattern's consequence is one region, so
+every pattern sits in exactly one bucket.  An FQP bucket is a row view
+of the block.  A BQP consequence mask is a set of bucket runs: codec
+offsets ascend and each enlargement covers a contiguous offset window
+mod ``T``, so a mask is at most two row ranges, scored in place (one
+range) or gathered for that call only (several).  Nothing is stored
+per mask.
+
 Premises are at most ``max_premise_length`` regions, so a dense
 ``(n, premise_length)`` bit-matrix would be ~99% padding.  Instead each
 candidate row stores its scorer table *sparsely*:
@@ -18,6 +28,7 @@ candidate row stores its scorer table *sparsely*:
   columns point at bit 0.
 * ``bit_weights[r, j]`` — the matching weight; padding columns carry 0.0.
 
+Every row has the block's width ``W``, the widest table of the kernel.
 A row is therefore at most ``max_premise_length`` cells of 16 bytes, a
 bounded fraction of the pattern object it indexes, so packing needs no
 size cap of its own.
@@ -42,8 +53,10 @@ overflow at ``max_premise_length``), so a row's premise score is ``> 0``
 iff the query premise key overlaps the candidate's — exactly the filter
 ``search_candidates`` applies for FQP.  BQP applies no premise filter, and
 neither does the kernel's backward path.  Top-k uses ``argpartition`` plus
-a stable ``lexsort`` on (score desc, confidence desc, support desc), which
-reproduces ``heapq.nsmallest``'s ordering including tie stability.
+a ``lexsort`` on (score desc, confidence desc, support desc, ``seq``
+asc).  A tree descent returns candidates in ``seq`` order and the
+reference sorts them stably, so the last key reproduces its full-tie
+order even when a selection spans buckets, whose rows are bucket-major.
 """
 
 from __future__ import annotations
@@ -52,7 +65,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..signature.bitset import iter_set_bits
 from .similarity import PremiseScorer
 
 __all__ = [
@@ -62,6 +74,7 @@ __all__ = [
     "ScoreKernel",
     "finalize_forward",
     "pack_premise_tables",
+    "pattern_array",
     "premise_scores",
     "prime_plan_queries",
     "top_indices",
@@ -72,17 +85,21 @@ __all__ = [
 # same constant.
 KERNEL_BATCH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-# Merged multi-bucket views are memoised per consequence mask (BQP
-# enlargement revisits the same masks across queries); FIFO-bounded.
-_MERGED_CACHE_SIZE = 512
+
+def pattern_array(patterns: Sequence) -> np.ndarray:
+    """Patterns as a 1-D object array, so row slices stay views."""
+    return np.fromiter(patterns, dtype=object, count=len(patterns))
 
 
 class CandidatePack:
-    """One consequence bucket (or merged view) in packed array form.
+    """Candidate rows in packed array form.
 
-    Rows follow the bucket's DFS ``seq`` order — the order the tree
-    search returns candidates in — so stable top-k selection ties break
-    identically.
+    A kernel holds one pack, its block: buckets in ascending consequence
+    time-id order, DFS ``seq`` order inside each bucket, every row at the
+    block's width.  Buckets and BQP selections are packs over a row
+    range of the block (views) or, for a selection of several ranges, a
+    gathered copy; both come from :meth:`take`.  ``patterns`` is an
+    object array so that it slices like the numeric columns.
     """
 
     __slots__ = (
@@ -103,7 +120,7 @@ class CandidatePack:
         confidences: np.ndarray,
         supports: np.ndarray,
         cons_offsets: np.ndarray,
-        patterns: list,
+        patterns: np.ndarray,
     ):
         self.seqs = seqs
         self.bit_cols = bit_cols
@@ -115,11 +132,23 @@ class CandidatePack:
 
     @property
     def n(self) -> int:
-        return len(self.patterns)
+        return self.seqs.shape[0]
 
     @property
     def width(self) -> int:
         return self.bit_cols.shape[1]
+
+    def take(self, rows) -> "CandidatePack":
+        """The rows a slice (views) or an index array (copies) selects."""
+        return CandidatePack(
+            self.seqs[rows],
+            self.bit_cols[rows],
+            self.bit_weights[rows],
+            self.confidences[rows],
+            self.supports[rows],
+            self.cons_offsets[rows],
+            self.patterns[rows],
+        )
 
 
 def pack_premise_tables(
@@ -156,15 +185,20 @@ def premise_scores(pack: CandidatePack, qvec: np.ndarray) -> np.ndarray:
 
 
 def top_indices(
-    scores: np.ndarray, confidences: np.ndarray, supports: np.ndarray, k: int
+    scores: np.ndarray,
+    confidences: np.ndarray,
+    supports: np.ndarray,
+    seqs: np.ndarray,
+    k: int,
 ) -> np.ndarray:
     """Indices of the top-k rows under the paper's ranking.
 
-    Order: score desc, confidence desc, support desc, then original row
-    order for full ties — the ordering ``nsmallest(k, ..., key=_rank_key)``
-    produces over a stably-ordered candidate list.  ``argpartition``
-    narrows to a candidate superset (every row tied with the k-th score
-    survives) before the exact stable ``lexsort``.
+    Order: score desc, confidence desc, support desc, then ascending DFS
+    ``seq`` for full ties — the ordering ``nsmallest(k, ..., key=_rank_key)``
+    produces over the candidate list a tree descent returns, which is in
+    ``seq`` order.  ``argpartition`` narrows to a candidate superset
+    (every row tied with the k-th score survives) before the exact
+    ``lexsort``.
     """
     n = scores.shape[0]
     if 0 < k < n:
@@ -173,9 +207,11 @@ def top_indices(
         cand = np.flatnonzero(scores >= threshold)
     else:
         cand = np.arange(n)
-    # lexsort ranks by its *last* key first and is stable, so ties on all
-    # three keys keep ascending row (bucket) order.
-    order = np.lexsort((-supports[cand], -confidences[cand], -scores[cand]))
+    # lexsort ranks by its *last* key first, so ``seq`` only breaks ties
+    # on all three ranking keys.
+    order = np.lexsort(
+        (seqs[cand], -supports[cand], -confidences[cand], -scores[cand])
+    )
     return cand[order[:k]]
 
 
@@ -183,7 +219,7 @@ class KernelHits:
     """A scored candidate set awaiting top-k extraction.
 
     ``rows`` maps the (FQP-filtered) score rows back into the pack's
-    pattern list; ``None`` means all pack rows survived.
+    rows; ``None`` means all pack rows survived.
     """
 
     __slots__ = ("scores", "confidences", "supports", "rows", "pack")
@@ -197,12 +233,14 @@ class KernelHits:
 
     def top(self, k: int) -> list[tuple[float, object]]:
         """Top-k as (score, pattern) pairs with plain-float scores."""
-        idx = top_indices(self.scores, self.confidences, self.supports, k)
-        patterns = self.pack.patterns
+        pack = self.pack
         rows = self.rows
+        seqs = pack.seqs if rows is None else pack.seqs[rows]
+        idx = top_indices(self.scores, self.confidences, self.supports, seqs, k)
+        patterns = pack.patterns
         if rows is None:
             return [(float(self.scores[j]), patterns[j]) for j in idx]
-        return [(float(self.scores[j]), patterns[int(rows[j])]) for j in idx]
+        return [(float(self.scores[j]), patterns[rows[j]]) for j in idx]
 
 
 def finalize_forward(pack: CandidatePack, sr: np.ndarray) -> KernelHits | None:
@@ -228,13 +266,15 @@ def finalize_forward(pack: CandidatePack, sr: np.ndarray) -> KernelHits | None:
     )
 
 
-def _pack_bucket(bucket: list, scorer: PremiseScorer) -> CandidatePack:
+def _pack_rows(entries: list, scorer: PremiseScorer) -> CandidatePack:
+    """Pack ``(seq, premise_bits, pattern, key)`` entries, in order, at
+    the widest table's width."""
     cols, weights = pack_premise_tables(
-        [premise_bits for _seq, premise_bits, _pattern, _key in bucket], scorer
+        [premise_bits for _seq, premise_bits, _pattern, _key in entries], scorer
     )
-    patterns = [pattern for _seq, _premise_bits, pattern, _key in bucket]
+    patterns = [pattern for _seq, _premise_bits, pattern, _key in entries]
     return CandidatePack(
-        seqs=np.array([seq for seq, _pb, _p, _k in bucket], dtype=np.int64),
+        seqs=np.array([seq for seq, _pb, _p, _k in entries], dtype=np.int64),
         bit_cols=cols,
         bit_weights=weights,
         confidences=np.array([p.confidence for p in patterns], dtype=np.float64),
@@ -242,38 +282,16 @@ def _pack_bucket(bucket: list, scorer: PremiseScorer) -> CandidatePack:
         cons_offsets=np.array(
             [p.consequence_offset for p in patterns], dtype=np.int64
         ),
-        patterns=patterns,
-    )
-
-
-def _merge_packs(blocks: list[CandidatePack]) -> CandidatePack:
-    """Union of several buckets, deduplicated by ``seq`` and sorted by it —
-    the order ``search_by_consequence`` merges multi-offset masks in."""
-    seqs = np.concatenate([b.seqs for b in blocks])
-    uniq_seqs, first = np.unique(seqs, return_index=True)
-    width = max(b.width for b in blocks)
-    total = seqs.shape[0]
-    cols = np.zeros((total, width), dtype=np.intp)
-    weights = np.zeros((total, width), dtype=np.float64)
-    r = 0
-    for b in blocks:
-        cols[r : r + b.n, : b.width] = b.bit_cols
-        weights[r : r + b.n, : b.width] = b.bit_weights
-        r += b.n
-    all_patterns = [p for b in blocks for p in b.patterns]
-    return CandidatePack(
-        seqs=uniq_seqs,
-        bit_cols=cols[first],
-        bit_weights=weights[first],
-        confidences=np.concatenate([b.confidences for b in blocks])[first],
-        supports=np.concatenate([b.supports for b in blocks])[first],
-        cons_offsets=np.concatenate([b.cons_offsets for b in blocks])[first],
-        patterns=[all_patterns[i] for i in first],
+        patterns=pattern_array(patterns),
     )
 
 
 class ScoreKernel:
-    """Packed candidate buckets for one tree + one weight family.
+    """One bucket-major candidate block for one tree + one weight family.
+
+    ``bounds[t]:bounds[t + 1]`` are the block rows of consequence time-id
+    ``t`` (an empty bucket is an empty range).  FQP buckets and BQP masks
+    are row ranges of the block; nothing is materialised per mask.
 
     Built lazily by ``TrajectoryPatternTree.score_kernel`` from the
     consequence index and cached on the tree; it shares the index's
@@ -287,69 +305,100 @@ class ScoreKernel:
         self,
         kind: str,
         premise_length: int,
-        blocks: dict[int, CandidatePack],
+        block: CandidatePack,
+        bounds: list[int],
         offset_time_ids: dict[int, int],
     ):
         self.kind = kind
         self.premise_length = premise_length
-        self._blocks = blocks
+        self.block = block
+        self._bounds = bounds
         self._offset_time_ids = offset_time_ids
-        self._merged: dict[int, CandidatePack | None] = {}
 
     @classmethod
     def build(cls, tree, kind: str) -> "ScoreKernel":
-        """Pack every consequence bucket of ``tree``."""
+        """Pack every consequence bucket of ``tree`` into one block."""
         codec = tree.codec
-        scorer = PremiseScorer(kind)
-        blocks = {
-            time_id: _pack_bucket(bucket, scorer)
-            for time_id, bucket in tree.consequence_index().items()
-        }
+        index = tree.consequence_index()
+        entries: list = []
+        bounds = [0]
+        for time_id in range(codec.consequence_length):
+            entries.extend(index.get(time_id, ()))
+            bounds.append(len(entries))
         offset_time_ids = {
             offset: time_id
             for time_id, offset in enumerate(codec.consequence_offsets())
         }
-        return cls(kind, codec.premise_length, blocks, offset_time_ids)
+        return cls(
+            kind,
+            codec.premise_length,
+            _pack_rows(entries, PremiseScorer(kind)),
+            bounds,
+            offset_time_ids,
+        )
 
     def export_buckets(self) -> list[tuple[int, CandidatePack]]:
-        """The packed buckets in ascending consequence time-id order.
+        """The non-empty buckets in ascending consequence time-id order.
 
-        Snapshot writers serialise these arrays verbatim; a kernel
-        reconstructed from the stored blocks (same ``kind``, same
-        ``premise_length``, same bucket arrays) scores byte-identically
-        to one built from the tree.
+        Snapshot writers serialise these row views verbatim; they share
+        the block's width, so their concatenated cells are the block's.
+        A kernel reconstructed from the stored blocks (same ``kind``,
+        same ``premise_length``, same bucket arrays) scores
+        byte-identically to one built from the tree.
         """
-        return sorted(self._blocks.items())
+        bounds = self._bounds
+        return [
+            (time_id, self.block.take(slice(start, end)))
+            for time_id, (start, end) in enumerate(zip(bounds, bounds[1:]))
+            if start < end
+        ]
 
     def block_for_offset(self, offset: int) -> CandidatePack | None:
-        """The FQP bucket for a query offset, or ``None`` when that offset
-        has no candidates (unknown offset or empty bucket)."""
+        """The FQP bucket for a query offset as a row view of the block,
+        or ``None`` when that offset has no candidates (unknown offset or
+        empty bucket)."""
         time_id = self._offset_time_ids.get(offset)
         if time_id is None:
             return None
-        return self._blocks.get(time_id)
+        start, end = self._bounds[time_id], self._bounds[time_id + 1]
+        return self.block.take(slice(start, end)) if start < end else None
 
-    def merged(self, mask: int) -> CandidatePack | None:
-        """Merged view of every bucket under a BQP consequence mask."""
-        try:
-            return self._merged[mask]
-        except KeyError:
-            pass
-        blocks = [
-            self._blocks[time_id]
-            for time_id in iter_set_bits(mask)
-            if time_id in self._blocks
-        ]
-        if not blocks:
-            pack = None
-        elif len(blocks) == 1:
-            pack = blocks[0]
-        else:
-            pack = _merge_packs(blocks)
-        if len(self._merged) >= _MERGED_CACHE_SIZE:
-            self._merged.pop(next(iter(self._merged)))
-        self._merged[mask] = pack
-        return pack
+    def row_ranges(self, mask: int) -> list[tuple[int, int]]:
+        """The block rows under a BQP consequence mask, as ascending,
+        disjoint ``[start, end)`` ranges (empty when no candidate).
+
+        Each run of consecutive set bits is one row range, since buckets
+        are stored in time-id order; ranges that touch are joined.
+        """
+        bounds = self._bounds
+        ranges: list[tuple[int, int]] = []
+        while mask:
+            low = mask & -mask
+            # ``carry``'s lowest set bit is the first clear bit above the run.
+            carry = mask + low
+            mask &= carry
+            start = bounds[low.bit_length() - 1]
+            end = bounds[(carry & -carry).bit_length() - 1]
+            if start == end:
+                continue
+            if ranges and ranges[-1][1] == start:
+                ranges[-1] = (ranges[-1][0], end)
+            else:
+                ranges.append((start, end))
+        return ranges
+
+    def select(self, mask: int) -> CandidatePack | None:
+        """Every candidate under a BQP consequence mask: a row view of
+        the block when the rows are one range, else one gathered copy
+        for this call only.  ``None`` when the mask holds no candidate."""
+        ranges = self.row_ranges(mask)
+        if not ranges:
+            return None
+        if len(ranges) == 1:
+            return self.block.take(slice(*ranges[0]))
+        return self.block.take(
+            np.concatenate([np.arange(start, end) for start, end in ranges])
+        )
 
 
 # ----------------------------------------------------------------------

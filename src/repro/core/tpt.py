@@ -204,8 +204,9 @@ class TrajectoryPatternTree(SignatureTree):
         where ``seq`` is the entry's position in the full depth-first
         traversal.  Because the search predicates are OR-monotone, a
         pruned descent visits surviving entries in exactly that traversal
-        order — so answers assembled from buckets (merged by ``seq``) are
-        byte-identical to descent answers, just without walking the tree.
+        order — so answers assembled from buckets, with ``seq`` as the last
+        tie key, are byte-identical to descent answers, just without
+        walking the tree.
         """
         index = self._consequence_index
         if index is None:

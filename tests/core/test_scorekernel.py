@@ -5,8 +5,9 @@ scorer, answers every FQP/BQP query **bit-identically** to the
 per-candidate reference in ``tests/core/legacy_reference.py`` — same
 floats, same patterns, same tie order — while kernel errors propagate
 to the caller instead of being answered by another path, the kernel
-cache follows the consequence index's invalidation contract, and the
-per-plan FQP memo stays bounded.
+cache follows the consequence index's invalidation contract, the
+per-plan FQP memo stays bounded, and the kernel's one bucket-major block
+serves every bucket and BQP mask without per-mask state.
 """
 
 import pickle
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import scorekernel
 from repro.core.config import HPMConfig
 from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
+from repro.core.patterns import TrajectoryPattern
 from repro.core.scorekernel import (
     KERNEL_BATCH_BUCKETS,
     pack_premise_tables,
@@ -166,24 +169,26 @@ class TestScoringProperties:
                     st.sampled_from([0.3, 0.6, 0.9]), min_size=n, max_size=n
                 ),
                 st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n),
+                st.permutations(range(n)),
                 st.integers(min_value=1, max_value=n + 5),
             )
         )
     )
     def test_top_indices_matches_nsmallest(self, case):
-        scores, confidences, supports, k = case
+        scores, confidences, supports, seqs, k = case
         n = len(scores)
         # The scan path's exact ordering: score desc, confidence desc,
-        # support desc, stable on candidate order.
+        # support desc, then DFS seq (the order a descent returns).
         want = nsmallest(
             k,
             range(n),
-            key=lambda i: (-scores[i], -confidences[i], -supports[i], i),
+            key=lambda i: (-scores[i], -confidences[i], -supports[i], seqs[i]),
         )
         got = top_indices(
             np.array(scores),
             np.array(confidences),
             np.array(supports, dtype=np.int64),
+            np.array(seqs, dtype=np.int64),
             k,
         )
         assert got.tolist() == want
@@ -459,3 +464,132 @@ class TestLocatePrewarm:
         cold = PredictionService.from_snapshot(snapshot, prewarm_locate=0)
         for oid in cold.fleet.object_ids():
             assert len(cold.fleet[oid]._regions._locate_cache) == 0
+
+
+# ----------------------------------------------------------------------
+# one bucket-major block: seq tie order, no per-mask state, row views
+# ----------------------------------------------------------------------
+PACK_FIELDS = (
+    "seqs",
+    "bit_cols",
+    "bit_weights",
+    "confidences",
+    "supports",
+    "cons_offsets",
+    "patterns",
+)
+
+
+def tied_across_buckets_model() -> HybridPredictionModel:
+    """Two fully tied BQP candidates whose DFS order is the reverse of
+    their bucket-major order.
+
+    Both share premise, confidence and support, and their consequences
+    sit one offset either side of the query offset 8, so Eq. 5 gives
+    them the same score.  After a bulk load the lower time-id comes
+    first in DFS order too; re-inserting it (as a delta refit does)
+    moves it behind the other one.
+    """
+    model = build_model(num_subs=15)
+    regions = model._regions
+    premise = (regions.at_offset(2)[0],)
+    early, late = (
+        TrajectoryPattern(premise, regions.at_offset(o)[0], 3, 0.5) for o in (7, 9)
+    )
+    model._patterns = [early, late]
+    model._build_index()
+    tree = model._tree
+    assert tree.remove_pattern(early)
+    tree.insert_pattern(early)
+    return model
+
+
+def kernel_footprint(kernel) -> dict:
+    """Every kernel attribute's size: array bytes, container length."""
+    sizes = {}
+    for name, value in vars(kernel).items():
+        if name == "block":
+            for field in PACK_FIELDS:
+                sizes[f"block.{field}"] = getattr(value, field).nbytes
+        elif isinstance(value, np.ndarray):
+            sizes[name] = value.nbytes
+        elif hasattr(value, "__len__"):
+            sizes[name] = len(value)
+        else:
+            sizes[name] = value
+    return sizes
+
+
+class TestBucketMajorBlock:
+    def test_bqp_full_ties_follow_seq_across_buckets(self):
+        model = tied_across_buckets_model()
+        kernel = model._tree.score_kernel(model.config.weight_function)
+        block_seqs = kernel.block.seqs.tolist()
+        # Bucket-major rows, reversed DFS order: the case the seq key is for.
+        assert block_seqs == sorted(block_seqs, reverse=True)
+        window = make_window(401)
+        for k in (1, 2, 3):
+            got = model.predict(window, 408, k)
+            want = legacy_predict(model, window, 408, k)
+            assert {p.method for p in got} == {"bqp"}
+            assert got[0].score == got[-1].score
+            assert repr(got) == repr(want), k
+
+    def test_dropping_the_seq_key_breaks_full_ties(self, monkeypatch):
+        model = tied_across_buckets_model()
+        window = make_window(401)
+        want = legacy_predict(model, window, 408, 1)
+
+        def without_seq(scores, confidences, supports, seqs, k):
+            return top_indices(
+                scores, confidences, supports, np.zeros_like(seqs), k
+            )
+
+        monkeypatch.setattr(scorekernel, "top_indices", without_seq)
+        assert repr(model.predict(window, 408, 1)) != repr(want)
+
+    def test_row_ranges_cover_exactly_the_masked_buckets(self, kernel_model):
+        kernel = kernel_model._tree.score_kernel(kernel_model.config.weight_function)
+        length = kernel_model.codec_.consequence_length
+        buckets = dict(kernel.export_buckets())
+        rng = np.random.default_rng(5)
+        masks = [0, (1 << length) - 1] + rng.integers(
+            0, 1 << length, size=200
+        ).tolist()
+        for mask in masks:
+            ranges = kernel.row_ranges(mask)
+            rows = [r for start, end in ranges for r in range(start, end)]
+            want = sorted(
+                seq
+                for time_id, pack in buckets.items()
+                if mask >> time_id & 1
+                for seq in pack.seqs.tolist()
+            )
+            assert sorted(kernel.block.seqs[rows].tolist()) == want
+            # Ascending, disjoint and not touching: at most one range per
+            # run of non-empty buckets.
+            flat = [bound for pair in ranges for bound in pair]
+            assert all(a < b for a, b in zip(flat, flat[1:]))
+
+    def test_distinct_masks_leave_kernel_size_unchanged(self, kernel_model):
+        kernel = kernel_model._tree.score_kernel(kernel_model.config.weight_function)
+        plan = kernel_model.prepare(make_window(401))
+        before = kernel_footprint(kernel)
+        answered = 0
+        for mask in range(1, 501):
+            answered += plan._backward_kernel(mask, 2, 421, 3) is not None
+        assert answered > 400
+        assert kernel_footprint(kernel) == before
+
+    def test_fqp_buckets_are_views_of_the_block(self, kernel_model):
+        kernel = kernel_model._tree.score_kernel(kernel_model.config.weight_function)
+        block = kernel.block
+        seen = 0
+        for offset in kernel_model.codec_.consequence_offsets():
+            pack = kernel.block_for_offset(offset)
+            if pack is None:
+                continue
+            seen += 1
+            for field in PACK_FIELDS:
+                assert np.shares_memory(getattr(pack, field), getattr(block, field))
+        assert seen > 1

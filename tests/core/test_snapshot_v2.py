@@ -11,6 +11,7 @@ never changes a fleet already loaded from it.
 import json
 import pickle
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.core.fingerprint import model_fingerprint, prediction_fingerprint
 from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
 from repro.core.persistence import load_fleet, save_fleet, snapshot_stat
+from repro.core.scorekernel import CandidatePack, ScoreKernel
 from repro.serve.shard.snapshot import merge_snapshot, shard_dir_name, split_snapshot
 from repro.trajectory import TimedPoint, Trajectory
 
@@ -77,6 +79,13 @@ def fleet_fingerprints(fleet) -> list[tuple[str, str, str]]:
     ]
 
 
+def mapping_base(arr: np.ndarray) -> np.ndarray:
+    """The last ndarray on ``arr``'s base chain."""
+    while isinstance(getattr(arr, "base", None), np.ndarray):
+        arr = arr.base
+    return arr
+
+
 @pytest.fixture(scope="module")
 def fitted_fleet():
     fleet = FleetPredictionModel(make_config())
@@ -126,6 +135,45 @@ class TestRoundTripIdentity:
         while isinstance(getattr(base, "base", None), np.ndarray):
             base = base.base
         assert isinstance(base, np.memmap)
+
+    def test_loaded_arrays_are_plain_readonly_mmap_views(self, snapshots):
+        """Loaded kernel and region arrays are plain ndarrays (no per-slice
+        ``np.memmap`` hooks) over a mapping, and stay read-only."""
+        fleet = load_fleet(snapshots / "v2")
+        kind = fleet.config.weight_function
+        for oid in fleet.object_ids():
+            model = fleet[oid]
+            block = model.tree_._score_kernels[kind].block
+            arrays = [
+                getattr(block, field)
+                for field in (
+                    "seqs",
+                    "bit_cols",
+                    "bit_weights",
+                    "confidences",
+                    "supports",
+                    "cons_offsets",
+                )
+            ]
+            arrays += [region.points for region in model.regions_]
+            for arr in arrays:
+                assert type(arr) is np.ndarray
+                assert not arr.flags.writeable
+                assert isinstance(mapping_base(arr), np.memmap)
+
+    def test_loaded_kernel_block_views_mapped_cells(self, snapshots):
+        fleet = load_fleet(snapshots / "v2")
+        kind = fleet.config.weight_function
+        for oid in fleet.object_ids():
+            block = fleet[oid].tree_._score_kernels[kind].block
+            for field, name in (
+                ("bit_cols", "kernel_cells_cols"),
+                ("bit_weights", "kernel_cells_weights"),
+            ):
+                cells = mapping_base(getattr(block, field))
+                assert isinstance(cells, np.memmap)
+                assert Path(cells.filename).name == f"block_{name}.npy"
+                assert np.shares_memory(getattr(block, field), cells)
 
     def test_subset_load(self, fitted_fleet, snapshots):
         wanted = fitted_fleet.object_ids()[:2]
@@ -261,6 +309,85 @@ class TestCopyOnWriteRefit:
         save_fleet(fleet, tmp_path / "snap")
 
         reloaded = load_fleet(tmp_path / "snap")["obj"]
+        reloaded.update(tail, refit="delta")
+
+        oracle = HybridPredictionModel(config).fit(
+            Trajectory(positions.copy(), 0)
+        )
+        assert model_fingerprint(reloaded) == model_fingerprint(oracle)
+        q = queries(oracle)
+        assert prediction_fingerprint(reloaded, q) == prediction_fingerprint(
+            oracle, q
+        )
+
+
+ONE_WIDTH_EXPORT = ScoreKernel.export_buckets
+
+
+def trim_to_own_width(kernel):
+    """``ScoreKernel.export_buckets`` as writers before the one-width
+    block emitted it: each bucket at its own widest table."""
+    trimmed = []
+    for time_id, pack in ONE_WIDTH_EXPORT(kernel):
+        width = max(1, int((pack.bit_weights > 0).sum(axis=1).max()))
+        trimmed.append(
+            (
+                time_id,
+                CandidatePack(
+                    pack.seqs,
+                    pack.bit_cols[:, :width],
+                    pack.bit_weights[:, :width],
+                    pack.confidences,
+                    pack.supports,
+                    pack.cons_offsets,
+                    pack.patterns,
+                ),
+            )
+        )
+    return trimmed
+
+
+class TestPerBucketWidthSnapshots:
+    """Snapshots whose kernel buckets each have their own table width
+    still load, padded into the one-width block."""
+
+    @pytest.fixture()
+    def per_bucket_snapshot(self, monkeypatch, tmp_path):
+        def save(fleet, directory):
+            with monkeypatch.context() as patch:
+                patch.setattr(ScoreKernel, "export_buckets", trim_to_own_width)
+                save_fleet(fleet, directory)
+            widths = np.load(directory / "block_kernel_buckets.npy")[:, 2]
+            assert len(set(widths.tolist())) > 1
+            return directory
+
+        return save
+
+    def test_loads_with_identical_fingerprints(
+        self, fitted_fleet, per_bucket_snapshot, tmp_path
+    ):
+        snapshot = per_bucket_snapshot(fitted_fleet, tmp_path / "snap")
+        loaded = load_fleet(snapshot)
+        assert fleet_fingerprints(loaded) == fleet_fingerprints(fitted_fleet)
+        kind = loaded.config.weight_function
+        for oid in loaded.object_ids():
+            kernel = loaded[oid].tree_._score_kernels[kind]
+            fresh = fitted_fleet[oid].tree_.score_kernel(kind)
+            assert kernel.block.width == fresh.block.width
+            assert np.array_equal(kernel.block.bit_cols, fresh.block.bit_cols)
+            assert np.array_equal(
+                kernel.block.bit_weights, fresh.block.bit_weights
+            )
+
+    def test_delta_refit_matches_scratch(self, per_bucket_snapshot, tmp_path):
+        config = make_config()
+        positions = make_route(12, seed=7)
+        prefix, tail = positions[: 9 * PERIOD], positions[9 * PERIOD :]
+        fleet = FleetPredictionModel(config)
+        fleet.fit({"obj": Trajectory(prefix.copy(), 0)})
+        snapshot = per_bucket_snapshot(fleet, tmp_path / "snap")
+
+        reloaded = load_fleet(snapshot)["obj"]
         reloaded.update(tail, refit="delta")
 
         oracle = HybridPredictionModel(config).fit(
