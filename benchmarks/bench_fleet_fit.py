@@ -14,9 +14,11 @@ Run standalone (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_fleet_fit.py --smoke    # CI-sized
 
 Writes ``BENCH_fleet_fit.json``: sizes, wall-clock per mode, speedup,
-prediction fingerprints, and the host's CPU budget (the speedup is
-bounded by physical cores — a single-core host reports ~1x and that is
-the honest number).
+prediction fingerprints, and the host's CPU budget.  The speedup is
+bounded by the CPUs the process may run on: with fewer CPUs than
+workers the pool only time-slices, so the ratio measures the host, not
+the parallel path, and is written as ``null`` with a
+``speedup_not_applicable`` reason.
 """
 
 from __future__ import annotations
@@ -127,7 +129,10 @@ def main(argv=None) -> int:
     serial_fp = fingerprint(serial_fleet, histories, args.period)
     parallel_fp = fingerprint(parallel_fleet, histories, args.period)
     identical = serial_fp == parallel_fp
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
+    cpus = available_cpus()
+    speedup = None
+    if cpus >= args.workers and parallel_seconds:
+        speedup = round(serial_seconds / parallel_seconds, 2)
 
     report = {
         "benchmark": "fleet_fit",
@@ -137,18 +142,23 @@ def main(argv=None) -> int:
         "workers": args.workers,
         "executor": args.executor,
         "smoke": args.smoke,
-        "cpus": available_cpus(),
+        "cpus": cpus,
         "python": sys.version.split()[0],
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
-        "speedup": round(speedup, 2),
+        "speedup": speedup,
         "identical_predictions": identical,
         "fingerprint": serial_fp,
         "total_patterns": serial_fleet.total_patterns(),
     }
+    if speedup is None:
+        report["speedup_not_applicable"] = (
+            f"{args.workers} workers on {cpus} CPU(s): the pool time-slices"
+        )
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+    ratio = "n/a" if speedup is None else f"{speedup:.2f}x"
     print(
-        f"speedup {speedup:.2f}x on {report['cpus']} CPU(s); "
+        f"speedup {ratio} on {cpus} CPU(s); "
         f"predictions byte-identical: {identical}; wrote {args.output}"
     )
     if not identical:

@@ -12,65 +12,51 @@ The top-level namespace re-exports the public API:
   synthetic scenario generators used by the paper's evaluation
   (:mod:`repro.datagen`).
 
+Each name is imported from its subpackage on first use
+(:mod:`repro._lazy`), so a process that only routes requests never
+loads numpy or the model stack.
+
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from .core import (
-    FleetFitError,
-    FleetPredictionModel,
-    HPMConfig,
-    HybridPredictionModel,
-    HybridPredictor,
-    FrequentRegion,
-    KeyCodec,
-    OnlineTracker,
-    PatternKey,
-    Prediction,
-    RegionSet,
-    TrajectoryPattern,
-    TrajectoryPatternTree,
-    discover_frequent_regions,
-    load_fleet,
-    mine_trajectory_patterns,
-    save_fleet,
-)
-from .motion import LinearMotionFunction, MotionFunction, RecursiveMotionFunction
-from .trajectory import (
-    BoundingBox,
-    Point,
-    TimedPoint,
-    Trajectory,
-    TrajectoryDataset,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BoundingBox",
-    "FleetFitError",
-    "FleetPredictionModel",
-    "FrequentRegion",
-    "HPMConfig",
-    "HybridPredictionModel",
-    "HybridPredictor",
-    "KeyCodec",
-    "LinearMotionFunction",
-    "MotionFunction",
-    "OnlineTracker",
-    "PatternKey",
-    "Point",
-    "Prediction",
-    "RecursiveMotionFunction",
-    "RegionSet",
-    "TimedPoint",
-    "Trajectory",
-    "TrajectoryDataset",
-    "TrajectoryPattern",
-    "TrajectoryPatternTree",
-    "__version__",
-    "discover_frequent_regions",
-    "load_fleet",
-    "mine_trajectory_patterns",
-    "save_fleet",
-]
+_EXPORTS = {
+    ".core": (
+        "FleetFitError",
+        "FleetPredictionModel",
+        "FrequentRegion",
+        "HPMConfig",
+        "HybridPredictionModel",
+        "HybridPredictor",
+        "KeyCodec",
+        "OnlineTracker",
+        "PatternKey",
+        "Prediction",
+        "RegionSet",
+        "TrajectoryPattern",
+        "TrajectoryPatternTree",
+        "discover_frequent_regions",
+        "load_fleet",
+        "mine_trajectory_patterns",
+        "save_fleet",
+    ),
+    ".motion": (
+        "LinearMotionFunction",
+        "MotionFunction",
+        "RecursiveMotionFunction",
+    ),
+    ".trajectory": (
+        "BoundingBox",
+        "Point",
+        "TimedPoint",
+        "Trajectory",
+        "TrajectoryDataset",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ += ["__version__"]

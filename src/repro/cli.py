@@ -28,14 +28,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core.config import HPMConfig
-from .core.model import HybridPredictionModel
-from .datagen import SCENARIO_NAMES, make_dataset
-from .trajectory.io import load_trajectory, save_trajectory
+from .datagen.names import SCENARIO_NAMES
 from .trajectory.point import TimedPoint
+
+if TYPE_CHECKING:
+    from .core.config import HPMConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -264,6 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    from .datagen.scenarios import make_dataset
+    from .trajectory.io import save_trajectory
+
     dataset = make_dataset(
         args.scenario, args.subtrajectories, args.period, seed=args.seed
     )
@@ -276,6 +278,8 @@ def _cmd_synth(args) -> int:
 
 
 def _config_from(args) -> HPMConfig:
+    from .core.config import HPMConfig
+
     distant = args.distant_threshold
     if distant is None:
         distant = max(1, min(60, args.period // 5))
@@ -291,6 +295,7 @@ def _config_from(args) -> HPMConfig:
 def _cmd_fit(args) -> int:
     from .core.fleet import FleetFitError, FleetPredictionModel
     from .core.persistence import save_fleet
+    from .trajectory.io import load_trajectory
 
     histories = {}
     for input_path in args.inputs:
@@ -365,9 +370,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    import numpy as np
+
+    from .core.model import HybridPredictionModel
     from .evalx.harness import evaluate_hpm, evaluate_rmf
     from .evalx.workloads import generate_queries
     from .trajectory.dataset import TrajectoryDataset
+    from .trajectory.io import load_trajectory
 
     trajectory = load_trajectory(args.input)
     dataset = TrajectoryDataset(
@@ -581,7 +590,11 @@ def _cmd_snapshot_stat(args) -> int:
 def _cmd_loadgen(args) -> int:
     import asyncio
 
+    import numpy as np
+
+    from .datagen.scenarios import make_dataset
     from .serve.loadgen import build_workload, run_loadgen
+    from .trajectory.io import load_trajectory
 
     host, _, port_text = args.target.rpartition(":")
     if not host or not port_text.isdigit():

@@ -1,33 +1,21 @@
 """Synthetic data substrate: periodic generator and the paper's scenarios."""
 
-from .generator import PeriodicTrajectoryGenerator, WeightedRoute
-from .noise import gaussian_jitter, moving_average, random_walk
-from .road_network import RoadNetwork
-from .routes import Route, wiggly_route
-from .scenarios import (
-    SCENARIO_NAMES,
-    make_airplane,
-    make_bike,
-    make_car,
-    make_cow,
-    make_dataset,
-    paper_datasets,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PeriodicTrajectoryGenerator",
-    "RoadNetwork",
-    "Route",
-    "SCENARIO_NAMES",
-    "WeightedRoute",
-    "gaussian_jitter",
-    "make_airplane",
-    "make_bike",
-    "make_car",
-    "make_cow",
-    "make_dataset",
-    "moving_average",
-    "paper_datasets",
-    "random_walk",
-    "wiggly_route",
-]
+_EXPORTS = {
+    ".generator": ("PeriodicTrajectoryGenerator", "WeightedRoute"),
+    ".noise": ("gaussian_jitter", "moving_average", "random_walk"),
+    ".road_network": ("RoadNetwork",),
+    ".routes": ("Route", "wiggly_route"),
+    ".names": ("SCENARIO_NAMES",),
+    ".scenarios": (
+        "make_airplane",
+        "make_bike",
+        "make_car",
+        "make_cow",
+        "make_dataset",
+        "paper_datasets",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

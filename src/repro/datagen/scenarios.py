@@ -26,6 +26,7 @@ import numpy as np
 
 from ..trajectory.dataset import TrajectoryDataset
 from .generator import PeriodicTrajectoryGenerator, WeightedRoute
+from .names import SCENARIO_NAMES
 from .road_network import RoadNetwork
 from .routes import Route, wiggly_route
 
@@ -38,8 +39,6 @@ __all__ = [
     "paper_datasets",
     "SCENARIO_NAMES",
 ]
-
-SCENARIO_NAMES = ("bike", "cow", "car", "airplane")
 
 _DEFAULT_SUBTRAJECTORIES = 200
 _DEFAULT_PERIOD = 300
@@ -198,21 +197,24 @@ def make_dataset(
     seed: int | None = None,
 ) -> TrajectoryDataset:
     """Scenario dispatch by name (``bike``/``cow``/``car``/``airplane``)."""
-    makers = {
-        "bike": make_bike,
-        "cow": make_cow,
-        "car": make_car,
-        "airplane": make_airplane,
-    }
     try:
-        maker = makers[name]
+        maker = _MAKERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown scenario {name!r}; choose from {sorted(makers)}"
+            f"unknown scenario {name!r}; choose from {sorted(_MAKERS)}"
         ) from None
     if seed is None:
         return maker(num_subtrajectories, period)
     return maker(num_subtrajectories, period, seed)
+
+
+#: scenario registry, in :data:`SCENARIO_NAMES` order
+_MAKERS = {
+    "bike": make_bike,
+    "cow": make_cow,
+    "car": make_car,
+    "airplane": make_airplane,
+}
 
 
 def paper_datasets(

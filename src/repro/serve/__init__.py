@@ -30,61 +30,37 @@ Run one from the CLI::
     repro loadgen 127.0.0.1:8080 --input route.csv --object-id route --requests 500
 """
 
-from .admission import AdmissionController, AdmissionDecision, TokenBucket
-from .batching import RequestBatcher
-from .cache import PredictionCache
-from .chaos import ChaosConfig, FaultInjector
-from .handlers import (
-    ApiError,
-    prediction_to_dict,
-    render_predict_all_body,
-    render_predict_body,
-)
-from .loadgen import (
-    HttpClient,
-    LoadReport,
-    PredictQuery,
-    build_workload,
-    ingest_stream,
-    run_loadgen,
-)
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_dumps,
-)
-from .refit import RefitScheduler
-from .server import PredictionServer, PredictionService, ServeConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ApiError",
-    "ChaosConfig",
-    "Counter",
-    "FaultInjector",
-    "RefitScheduler",
-    "TokenBucket",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "HttpClient",
-    "LoadReport",
-    "MetricsRegistry",
-    "PredictQuery",
-    "PredictionCache",
-    "PredictionServer",
-    "PredictionService",
-    "RequestBatcher",
-    "ServeConfig",
-    "build_workload",
-    "ingest_stream",
-    "merge_dumps",
-    "prediction_to_dict",
-    "render_predict_all_body",
-    "render_predict_body",
-    "run_loadgen",
-]
+_EXPORTS = {
+    ".admission": ("AdmissionController", "AdmissionDecision", "TokenBucket"),
+    ".batching": ("RequestBatcher",),
+    ".cache": ("PredictionCache",),
+    ".chaos": ("ChaosConfig", "FaultInjector"),
+    ".handlers": (
+        "ApiError",
+        "prediction_to_dict",
+        "render_predict_all_body",
+        "render_predict_body",
+    ),
+    ".httpclient": ("HttpClient",),
+    ".loadgen": (
+        "LoadReport",
+        "PredictQuery",
+        "build_workload",
+        "ingest_stream",
+        "run_loadgen",
+    ),
+    ".metrics": (
+        "DEFAULT_LATENCY_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "merge_dumps",
+    ),
+    ".refit": ("RefitScheduler",),
+    ".server": ("PredictionServer", "PredictionService", "ServeConfig"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -40,9 +40,10 @@ Endpoints
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from ..core.prediction import Prediction
+if TYPE_CHECKING:
+    from ..core.prediction import Prediction
 
 __all__ = [
     "ApiError",

@@ -48,10 +48,8 @@ import asyncio
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..core.fleet import FleetPredictionModel
-from ..core.online import OnlineTracker
-from ..core.scorekernel import KERNEL_BATCH_BUCKETS, prime_plan_queries
 from ..trajectory.point import TimedPoint
 from .admission import AdmissionController
 from .batching import RequestBatcher
@@ -61,7 +59,25 @@ from .handlers import ApiError, encode_json, route
 from .metrics import FIT_PHASE_BUCKETS, FIT_PHASES, MetricsRegistry
 from .refit import RefitScheduler
 
+if TYPE_CHECKING:
+    from ..core.fleet import FleetPredictionModel
+    from ..core.online import OnlineTracker
+
 __all__ = ["ServeConfig", "PredictionService", "PredictionServer"]
+
+
+def prime_plan_queries(pairs, metrics=None) -> int:
+    """Score a batch's FQP lookups in one kernel call.
+
+    Delegates to :func:`repro.core.scorekernel.prime_plan_queries`.  It
+    is a name of this module, which imports no part of the model stack,
+    so that the shard router (a :class:`PredictionServer` without
+    models) never loads numpy; the kernel module is imported on the
+    first batch of a process that holds models.
+    """
+    from ..core.scorekernel import prime_plan_queries as prime
+
+    return prime(pairs, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -167,6 +183,8 @@ class PredictionService:
             )
         # Same pre-registration for the query-kernel batch-size histogram,
         # which needs count-scale buckets.
+        from ..core.scorekernel import KERNEL_BATCH_BUCKETS
+
         self.metrics.histogram(
             "predict_kernel_batch_size",
             help="FQP lookups scored per kernel invocation",
@@ -455,6 +473,8 @@ class PredictionService:
             raise ApiError(404, f"unknown object {object_id!r}")
         tracker = self.trackers.get(object_id)
         if tracker is None:
+            from ..core.online import OnlineTracker
+
             tracker = OnlineTracker(
                 self.fleet[object_id],
                 update_after=self.config.update_after,

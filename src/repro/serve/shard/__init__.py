@@ -34,38 +34,25 @@ single-process ``repro serve`` over the same snapshot
 fingerprints).
 """
 
-from .cluster import ShardCluster, WorkerHandle
-from .forwarding import (
-    ForwardQueue,
-    QueueFullError,
-    ShardForwarder,
-    ShardTransportError,
-)
-from .ring import HashRing
-from .router import RouterConfig, RouterServer, RouterService
-from .snapshot import (
-    SHARD_MANIFEST,
-    merge_snapshot,
-    read_shard_manifest,
-    split_snapshot,
-)
-from .worker import load_shard_fleet, run_worker
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ForwardQueue",
-    "HashRing",
-    "QueueFullError",
-    "RouterConfig",
-    "RouterServer",
-    "RouterService",
-    "SHARD_MANIFEST",
-    "ShardCluster",
-    "ShardForwarder",
-    "ShardTransportError",
-    "WorkerHandle",
-    "load_shard_fleet",
-    "merge_snapshot",
-    "read_shard_manifest",
-    "run_worker",
-    "split_snapshot",
-]
+_EXPORTS = {
+    ".cluster": ("ShardCluster", "WorkerHandle"),
+    ".forwarding": (
+        "ForwardQueue",
+        "QueueFullError",
+        "ShardForwarder",
+        "ShardTransportError",
+    ),
+    ".ring": ("HashRing",),
+    ".router": ("RouterConfig", "RouterServer", "RouterService"),
+    ".snapshot": (
+        "SHARD_MANIFEST",
+        "merge_snapshot",
+        "read_shard_manifest",
+        "split_snapshot",
+    ),
+    ".worker": ("load_shard_fleet", "run_worker"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,7 +27,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from ..loadgen import HttpClient
+from ..httpclient import HttpClient
 
 __all__ = [
     "FORWARD_PRIORITIES",

@@ -39,13 +39,14 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import logging
 from contextlib import suppress
 from dataclasses import dataclass
 
 from ..admission import AdmissionController
 from ..cache import PredictionCache
 from ..handlers import ApiError, encode_json, _object_id, _parse_body
-from ..loadgen import HttpClient
+from ..httpclient import HttpClient
 from ..metrics import MetricsRegistry, merge_dumps
 from ..server import PredictionServer, ServeConfig
 from .forwarding import ForwardQueue, QueueFullError, ShardForwarder, ShardTransportError
@@ -54,6 +55,13 @@ from .ring import DEFAULT_REPLICAS, HashRing
 __all__ = ["RouterConfig", "RouterService", "RouterServer"]
 
 _JSON = "application/json"
+
+_log = logging.getLogger(__name__)
+
+#: what a failed health probe raises: transport errors (``ConnectionError``
+#: and socket errors are ``OSError``; a short read is an ``EOFError``), the
+#: probe timeout, and an unparseable status line or ``Content-Length``
+_PROBE_FAILURES = (OSError, EOFError, asyncio.TimeoutError, ValueError, IndexError)
 
 #: response headers forwarded from a worker back to the client
 _PASSTHROUGH_HEADERS = ("x-cache", "x-degraded", "retry-after")
@@ -188,8 +196,8 @@ class RouterService:
         state.stopped = True
         if state.probe_task is not None:
             state.probe_task.cancel()
-            with suppress(asyncio.CancelledError):
-                await state.probe_task
+            # A probe loop that died of a bug has logged it already.
+            await asyncio.gather(state.probe_task, return_exceptions=True)
         if state.probe_client is not None:
             await state.probe_client.close()
         await state.forwarder.stop()
@@ -225,11 +233,9 @@ class RouterService:
                     state.healthy = True
                     self.metrics.counter("router_shard_recovered_total").inc()
                     self._gauge_healthy()
-                with suppress(Exception):
+                with suppress(ValueError, KeyError, TypeError):
                     state.objects = int(json.loads(body)["objects"])
-            except asyncio.CancelledError:
-                raise
-            except Exception:
+            except _PROBE_FAILURES:
                 await state.probe_client.close()
                 state.consecutive_failures += 1
                 if (
@@ -240,6 +246,10 @@ class RouterService:
                     state.healthy = False
                     self.metrics.counter("router_shard_down_total").inc()
                     self._gauge_healthy()
+            except Exception:
+                # A bug in the probe is not a shard failure: say so, stop.
+                _log.exception("health probe of shard %d failed", state.shard_id)
+                raise
             await asyncio.sleep(config.probe_interval)
 
     def _gauge_healthy(self) -> None:

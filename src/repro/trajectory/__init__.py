@@ -1,57 +1,34 @@
 """Trajectory substrate: geometric primitives, containers, IO and metrics."""
 
-from .dataset import TrajectoryDataset
-from .io import (
-    load_trajectories,
-    load_trajectory,
-    save_trajectories,
-    save_trajectory,
-)
-from .metrics import (
-    ErrorSummary,
-    euclidean_error,
-    mean_error,
-    median_error,
-    percentile_error,
-    root_mean_squared_error,
-    summarize_errors,
-)
-from .periodicity import PeriodScore, estimate_period, score_period
-from .point import BoundingBox, Point, TimedPoint
-from .preprocessing import (
-    StayPoint,
-    fill_gaps,
-    remove_speed_spikes,
-    resample_uniform,
-    stay_points,
-)
-from .trajectory import OffsetGroup, SubTrajectory, Trajectory
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BoundingBox",
-    "ErrorSummary",
-    "OffsetGroup",
-    "PeriodScore",
-    "Point",
-    "StayPoint",
-    "SubTrajectory",
-    "TimedPoint",
-    "Trajectory",
-    "TrajectoryDataset",
-    "estimate_period",
-    "euclidean_error",
-    "fill_gaps",
-    "load_trajectories",
-    "load_trajectory",
-    "mean_error",
-    "median_error",
-    "percentile_error",
-    "remove_speed_spikes",
-    "resample_uniform",
-    "root_mean_squared_error",
-    "save_trajectories",
-    "save_trajectory",
-    "score_period",
-    "stay_points",
-    "summarize_errors",
-]
+_EXPORTS = {
+    ".dataset": ("TrajectoryDataset",),
+    ".io": (
+        "load_trajectories",
+        "load_trajectory",
+        "save_trajectories",
+        "save_trajectory",
+    ),
+    ".metrics": (
+        "ErrorSummary",
+        "euclidean_error",
+        "mean_error",
+        "median_error",
+        "percentile_error",
+        "root_mean_squared_error",
+        "summarize_errors",
+    ),
+    ".periodicity": ("PeriodScore", "estimate_period", "score_period"),
+    ".point": ("BoundingBox", "Point", "TimedPoint"),
+    ".preprocessing": (
+        "StayPoint",
+        "fill_gaps",
+        "remove_speed_spikes",
+        "resample_uniform",
+        "stay_points",
+    ),
+    ".trajectory": ("OffsetGroup", "SubTrajectory", "Trajectory"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -87,3 +87,9 @@ class TestDispatch:
     def test_paper_datasets_keys(self):
         sets = paper_datasets(num_subtrajectories=3, period=30)
         assert list(sets) == list(SCENARIO_NAMES)
+
+    def test_names_are_the_scenario_registry(self):
+        # The CLI offers the numpy-free name tuple; it must be the registry.
+        from repro.datagen import scenarios
+
+        assert SCENARIO_NAMES == tuple(scenarios._MAKERS)

@@ -530,3 +530,67 @@ class TestRouterService:
             assert "query_time" in json.loads(body)["error"]
 
         router_test(multi_fleet, scenario)
+
+
+class _ScriptedProbeClient:
+    """Stands in for a shard's probe client; every request raises ``exc``."""
+
+    def __init__(self, exc: Exception):
+        self.exc = exc
+        self.requests = 0
+
+    async def request(self, method, path):
+        self.requests += 1
+        raise self.exc
+
+    async def close(self):
+        pass
+
+
+class TestRouterProbes:
+    def probe_with(self, exc: Exception):
+        """Attach one shard whose probes raise ``exc``; report the outcome."""
+
+        async def body():
+            router = RouterService(
+                RouterConfig(
+                    num_shards=1, probe_interval=0.01, probe_fail_threshold=1
+                )
+            )
+            router.attach_shard(0, "127.0.0.1", 9)
+            state = router._shards[0]
+            client = state.probe_client = _ScriptedProbeClient(exc)
+            try:
+                for _ in range(100):
+                    if state.probe_task.done() or not state.healthy:
+                        break
+                    await asyncio.sleep(0.01)
+                return (
+                    client.requests,
+                    state.healthy,
+                    state.probe_task.done(),
+                    router.metrics.counter("router_shard_down_total").value,
+                )
+            finally:
+                await router.stop()
+
+        return asyncio.run(body())
+
+    def test_transport_failure_marks_the_shard_down(self):
+        requests, healthy, stopped, down = self.probe_with(
+            ConnectionRefusedError("refused")
+        )
+        assert requests >= 1
+        assert (healthy, stopped, down) == (False, False, 1)
+
+    def test_probe_bug_is_logged_and_not_counted_as_a_shard_failure(
+        self, caplog
+    ):
+        with caplog.at_level("ERROR", logger="repro.serve.shard.router"):
+            requests, healthy, stopped, down = self.probe_with(
+                TypeError("probe bug")
+            )
+        assert requests == 1
+        assert (healthy, stopped, down) == (True, True, 0)
+        assert "health probe of shard 0 failed" in caplog.text
+        assert "TypeError: probe bug" in caplog.text

@@ -12,7 +12,9 @@ field that regressed beyond ``--tolerance`` (a fraction: 0.5 means a
 smoke speedup may be up to 50% below baseline before it counts).
 
 Boolean fields ending in ``identical``/``ok``/``passed`` must not flip
-from true to false regardless of tolerance.
+from true to false regardless of tolerance.  A ``null`` on either side
+is a ratio the bench declared not applicable (``BENCH_fleet_fit``'s
+speedup with fewer CPUs than workers) and is skipped.
 
 Default is **warn** mode (always exit 0, print findings) so CI noise
 never blocks a merge; ``--fail`` turns findings into a non-zero exit for
@@ -75,6 +77,8 @@ def compare(
     findings: list[str] = []
     for field in sorted(cur.keys() & base.keys()):
         c, b = cur[field], base[field]
+        if c is None or b is None:
+            continue  # not applicable on that host
         if isinstance(c, bool) or isinstance(b, bool):
             name = field.lower()
             if any(name.endswith(tag) for tag in MUST_HOLD):
