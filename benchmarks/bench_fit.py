@@ -9,15 +9,18 @@ old pipeline exactly (Python-loop grid build, n per-point neighbourhood
 probes, deque BFS, per-offset-group masking passes, ``from_points`` bbox
 loops, per-pattern key encoding) and both engines fit the same generated
 dataset end-to-end (datagen → fit); the fitted state — frequent regions,
-mined patterns, key-table geometry and every TPT entry — is fingerprinted
-with SHA-256 and must match bit for bit.
+mined patterns, key-table geometry and every pattern key (the old engine's
+TPT entries; the new engine packs the score kernel instead of a tree) — is
+fingerprinted with SHA-256 and must match bit for bit.
 
 Run standalone (not under pytest)::
 
     PYTHONPATH=src python benchmarks/bench_fit.py           # full
     PYTHONPATH=src python benchmarks/bench_fit.py --smoke   # CI-sized
 
-Writes ``BENCH_fit.json``: per-phase seconds (cluster / mine / index),
+Writes ``BENCH_fit.json``: per-phase seconds (cluster / mine / index;
+the old index phase bulk-loads a TPT with node capacity 32, the new one
+packs the score kernel),
 end-to-end speedup and the fingerprints.  Exits 1 if the fitted states
 disagree on any byte.
 """
@@ -25,7 +28,6 @@ disagree on any byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -36,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import HPMConfig
+from repro.core.fingerprint import fitted_state_fingerprint
 from repro.core.keys import KeyCodec
 from repro.core.model import HybridPredictionModel
 from repro.core.patterns import TrajectoryPattern
@@ -260,11 +263,7 @@ def legacy_fit(trajectory: Trajectory, config: HPMConfig):
     index_start = time.perf_counter()
     phases["mine"] = index_start - mine_start
     codec = KeyCodec.from_patterns(regions, patterns)
-    tree = TrajectoryPatternTree(
-        codec,
-        max_entries=config.tree_max_entries,
-        min_entries=config.tree_min_entries,
-    )
+    tree = TrajectoryPatternTree(codec, max_entries=32)
     # The old bulk_load_patterns: one PatternKey object per pattern.
     tree.bulk_load([(codec.encode_pattern(p).value, p) for p in patterns])
     phases["index"] = time.perf_counter() - index_start
@@ -274,59 +273,15 @@ def legacy_fit(trajectory: Trajectory, config: HPMConfig):
 # ----------------------------------------------------------------------
 # fingerprints over the fitted state
 # ----------------------------------------------------------------------
-def _pattern_repr(p: TrajectoryPattern) -> tuple:
-    return (
-        tuple(r.label for r in p.premise),
-        p.consequence.label,
-        p.support,
-        p.confidence.hex(),
-    )
-
-
-def fit_fingerprint(
-    regions: RegionSet,
-    patterns: list[TrajectoryPattern],
-    codec: KeyCodec | None,
-    tree: TrajectoryPatternTree | None,
-) -> str:
-    digest = hashlib.sha256()
-    for r in regions:
-        digest.update(
-            repr(
-                (
-                    r.offset,
-                    r.index,
-                    r.center.x.hex(),
-                    r.center.y.hex(),
-                    r.points.shape,
-                    r.points.dtype.str,
-                    r.bbox.min_x.hex(),
-                    r.bbox.min_y.hex(),
-                    r.bbox.max_x.hex(),
-                    r.bbox.max_y.hex(),
-                    r.subtrajectory_ids,
-                )
-            ).encode()
-        )
-        digest.update(r.points.tobytes())
-    for p in patterns:
-        digest.update(repr(_pattern_repr(p)).encode())
-    if codec is not None:
-        digest.update(
-            repr(
-                (
-                    codec.premise_length,
-                    codec.consequence_length,
-                    codec.consequence_offsets(),
-                )
-            ).encode()
-        )
+def legacy_fingerprint(regions, patterns, codec, tree) -> str:
+    """:func:`fitted_state_fingerprint` of the old engine's output, once
+    its TPT is checked to index exactly each pattern under its key."""
     if tree is not None:
-        for entry in tree.all_entries():
-            digest.update(
-                repr((entry.signature, _pattern_repr(entry.payload))).encode()
-            )
-    return digest.hexdigest()
+        indexed = sorted((e.signature, id(e.payload)) for e in tree.all_entries())
+        encoded = sorted(zip(codec.encode_values(patterns), map(id, patterns)))
+        if indexed != encoded:
+            raise AssertionError("the old TPT indexes other entries than its patterns")
+    return fitted_state_fingerprint(regions, patterns, codec)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +305,7 @@ def run_legacy(subtrajectories: int, period: int, config: HPMConfig):
     fit_start = time.perf_counter()
     regions, patterns, codec, tree, phases = legacy_fit(dataset.trajectory, config)
     fit_s = time.perf_counter() - fit_start
-    fp = fit_fingerprint(regions, patterns, codec, tree)
+    fp = legacy_fingerprint(regions, patterns, codec, tree)
     return datagen_s, fit_s, phases, fp, len(patterns)
 
 
@@ -361,9 +316,7 @@ def run_new(subtrajectories: int, period: int, config: HPMConfig):
     fit_start = time.perf_counter()
     model = HybridPredictionModel(config).fit(dataset.trajectory)
     fit_s = time.perf_counter() - fit_start
-    fp = fit_fingerprint(
-        model.regions_, model.patterns_, model.codec_, model.tree_
-    )
+    fp = fitted_state_fingerprint(model.regions_, model.patterns_, model.codec_)
     return datagen_s, fit_s, model.fit_phase_seconds_, fp, model.pattern_count
 
 

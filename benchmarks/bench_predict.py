@@ -2,13 +2,14 @@
 
 The served query path answers from :class:`repro.core.plan.PreparedQuery`
 plans (per-window work hoisted out of the per-query loop), cached
-premise-weight tables, a consequence-offset index on the TPT, a locate
-memo on the region set and the vectorized score kernel — all under a
-byte-identity contract.  This bench holds the contract to account: a
-``LegacyPredictor`` re-implements the old per-call algorithm exactly
-(uncached region mapping via per-region KD queries, inline weight
-recomputation, full tree descents per round, a fresh motion fit per
-query, full sort + slice) and both engines answer the same workloads;
+premise-weight tables, a locate memo on the region set and the
+vectorized score kernel — all under a byte-identity contract.  This
+bench holds the contract to account: a ``LegacyPredictor`` re-implements
+the per-call algorithm (uncached region mapping via per-region scans,
+inline weight recomputation, a brute-force two-part Intersect over the
+whole pattern table per round, a fresh motion fit per query, full sort +
+slice with the canonical pattern identity as the last key) and both
+engines answer the same workloads;
 their prediction streams are fingerprinted with SHA-256 and must match
 bit for bit.
 
@@ -91,10 +92,13 @@ class LegacyPredictor:
     """The query path as it was before the overhaul.
 
     Per call: the recent window is re-mapped to regions with uncached
-    per-region KD queries, the premise key re-encoded, candidates fetched
-    by full tree descent (per BQP enlargement round), similarities scored
-    with freshly recomputed weight vectors, ranked by full sort + slice,
-    and the motion fallback refitted from scratch.
+    per-region scans, the premise key re-encoded, candidates fetched by
+    a brute-force Intersect scan of the pattern table (per BQP
+    enlargement round), similarities scored with freshly recomputed
+    weight vectors, ranked by full sort + slice — score, confidence and
+    support descending, then the pattern identity ``(key value,
+    consequence region id)`` ascending — and the motion fallback
+    refitted from scratch.
     """
 
     def __init__(self, model: HybridPredictionModel):
@@ -102,7 +106,8 @@ class LegacyPredictor:
         assert predictor is not None, "bench needs a pattern-bearing model"
         self.regions = predictor.regions
         self.codec = predictor.codec
-        self.tree = predictor.tree
+        # Keys are encoded once, as the old engine's tree stored them.
+        self.keyed = [(p, self.codec.encode_pattern(p)) for p in model.patterns_]
         self.config = predictor.config
         self.motion_factory = predictor.motion_factory
 
@@ -145,7 +150,7 @@ class LegacyPredictor:
         premise_length = self.codec.premise_length
         q_rk = query_key.value & ((1 << premise_length) - 1)
         q_ck = query_key.value >> premise_length
-        candidates = self._descend(
+        candidates = self._scan(
             lambda sig: sig & q_rk != 0 and (sig >> premise_length) & q_ck != 0
         )
         if not candidates:
@@ -154,8 +159,7 @@ class LegacyPredictor:
         scored = []
         for pattern, key in candidates:
             sr = legacy_premise_similarity(key.premise_key, query_key.premise_key, kind)
-            scored.append((fqp_score(sr, pattern.confidence), pattern))
-        scored.sort(key=lambda sp: (-sp[0], -sp[1].confidence, -sp[1].support))
+            scored.append((fqp_score(sr, pattern.confidence), pattern, key))
         return [
             Prediction(
                 location=pattern.consequence.center,
@@ -163,7 +167,7 @@ class LegacyPredictor:
                 score=score,
                 pattern=pattern,
             )
-            for score, pattern in scored[:k]
+            for score, pattern in self._rank(scored, k)
         ]
 
     def backward_query(
@@ -186,7 +190,7 @@ class LegacyPredictor:
             }
             mask = self.codec.consequence_mask(offsets)
             shift = self.codec.premise_length
-            candidates = self._descend(lambda sig: (sig >> shift) & mask != 0)
+            candidates = self._scan(lambda sig: (sig >> shift) & mask != 0)
             if candidates:
                 horizon = query_time - tc
                 scored = []
@@ -206,9 +210,9 @@ class LegacyPredictor:
                                 horizon,
                             ),
                             pattern,
+                            key,
                         )
                     )
-                scored.sort(key=lambda sp: (-sp[0], -sp[1].confidence, -sp[1].support))
                 return [
                     Prediction(
                         location=pattern.consequence.center,
@@ -216,18 +220,30 @@ class LegacyPredictor:
                         score=score,
                         pattern=pattern,
                     )
-                    for score, pattern in scored[:k]
+                    for score, pattern in self._rank(scored, k)
                 ]
             i += 1
             if query_time - i * t_eps <= tc:
                 return [self._motion_prediction(recent, query_time)]
 
-    def _descend(self, predicate) -> list:
-        """Full pruned tree descent: ``(pattern, key)`` per matching entry."""
-        return [
-            (entry.payload, self.codec.wrap(entry.signature))
-            for entry in self.tree.search(predicate)
-        ]
+    def _scan(self, predicate) -> list:
+        """Brute-force scan: ``(pattern, key)`` per pattern whose key value
+        satisfies ``predicate``."""
+        return [(pattern, key) for pattern, key in self.keyed if predicate(key.value)]
+
+    def _rank(self, scored: list, k: int) -> list:
+        """Full sort of ``(score, pattern, key)``, then the top ``k``."""
+        region_id = self.regions.region_id
+        scored.sort(
+            key=lambda spk: (
+                -spk[0],
+                -spk[1].confidence,
+                -spk[1].support,
+                spk[2].value,
+                region_id(spk[1].consequence),
+            )
+        )
+        return [(score, pattern) for score, pattern, _key in scored[:k]]
 
     def _motion_prediction(
         self, recent: Sequence[TimedPoint], query_time: int

@@ -6,15 +6,14 @@ in with ``HybridPredictionModel.update``.  Two engines run the same
 ingest schedule —
 
 * **delta** — ``refit="delta"``: re-cluster only dirty offsets, re-score
-  only rules touching changed regions, patch the TPT in place;
+  only rules touching changed regions, then pack the new score kernel;
 * **full** — ``refit="full"``: the legacy whole-history re-mine.
 
 After every round *both* engines are checked against a fit-from-scratch
 oracle over the concatenated history via SHA-256 fitted-state
-fingerprints (same methodology as BENCH_fit.json; tree entries are
-compared in canonical order since a patched tree packs nodes differently
-from a bulk load — see ``repro.core.fingerprint``).  A final prediction
-fingerprint over a query grid checks end-to-end answers.
+fingerprints (same methodology as BENCH_fit.json; see
+``repro.core.fingerprint``).  A final prediction fingerprint over a
+query grid checks end-to-end answers, full ties included.
 
 The committed report (BENCH_refit.json) records per-round refit latency
 percentiles (p50/p95/p99), sustained fixes/sec, and the delta-vs-full

@@ -4,9 +4,8 @@ The cold-start path is what a shard worker that restarts (SIGKILL ->
 backoff -> reload its ring slice) and a
 ``PredictionService.from_snapshot`` boot pay before the first
 prediction.  A snapshot (``repro.core.persistence``) stores packed
-columnar blocks plus the serialised TPT structure and kernel tables, so
-a loader maps the blocks read-only and replays structure instead of
-re-deriving it.
+columnar blocks, the score kernel's cells among them, so a loader maps
+the blocks read-only and packs nothing.
 
 Methodology: one fleet is fitted once and saved.  Before any timing,
 the state + prediction SHA-256 fingerprints of a load are checked

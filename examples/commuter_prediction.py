@@ -11,6 +11,7 @@ Run:  python examples/commuter_prediction.py
 
 import numpy as np
 
+from repro.core.tpt import TrajectoryPatternTree
 from repro.datagen import make_car
 from repro.evalx import (
     ExperimentScale,
@@ -34,10 +35,12 @@ def main() -> None:
 
     print("mining trajectory patterns...")
     model = fit_model(dataset, scale)
+    tree = TrajectoryPatternTree(model.codec_, max_entries=32)
+    tree.bulk_load_patterns(model.patterns_)
     print(
         f"  {len(model.regions_)} frequent regions, "
         f"{model.pattern_count} patterns, "
-        f"TPT height {model.tree_.stats().height}"
+        f"TPT height {tree.stats().height}"
     )
 
     rows = []

@@ -2,9 +2,10 @@
 
 Reconstructs Jane's five frequent regions and four trajectory patterns,
 prints the region-key / consequence-key / pattern-key tables exactly as
-the paper shows them, builds the TPT, and runs the Section VI-B query
-("recent movements R_0^0 and R_1^0, tq = 2") whose candidate scores the
-paper computes as 0.5 (Work) and 0.132 (Beach).
+the paper shows them, builds the TPT and searches it for the Section VI-B
+query ("recent movements R_0^0 and R_1^0, tq = 2"), then answers that
+query, whose candidate scores the paper computes as 0.5 (Work) and 0.132
+(Beach).
 
 Run:  python examples/paper_walkthrough.py
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 from repro.core import HPMConfig, HybridPredictor, KeyCodec, TrajectoryPattern
 from repro.core.regions import FrequentRegion, RegionSet
+from repro.core.scorekernel import ScoreKernel
 from repro.core.tpt import TrajectoryPatternTree
 from repro.evalx import format_series
 from repro.trajectory import BoundingBox, Point, TimedPoint
@@ -80,12 +82,16 @@ def main() -> None:
     config = HPMConfig(
         period=3, eps=5.0, distant_threshold=2, time_relaxation=1, recent_window=3
     )
-    predictor = HybridPredictor(regions, codec, tree, config)
+    kernel = ScoreKernel.from_patterns(regions, patterns, config.weight_function)
+    predictor = HybridPredictor(regions, codec, kernel, config)
     recent = [TimedPoint(30, 0.0, 0.0), TimedPoint(31, 100.0, 0.0)]
     query_key = codec.encode_query(
         predictor.map_recent_to_regions(recent), query_offset=2
     )
     print(f"query pattern key (paper: 1000011): {query_key.to_bit_string()}")
+    print("TPT Intersect search (Section V-C):")
+    for pattern, key in tree.search_candidates(query_key):
+        print(f"  {pattern}  key {key.to_bit_string()}")
 
     results = predictor.forward_query(recent, query_time=32, k=2)
     print("FQP ranking (paper: Work 0.5 > Beach 0.132):")

@@ -122,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refit an object after this many ingested fixes")
     serve.add_argument("--refit-mode", choices=("delta", "full"), default=None,
                        help="override the models' refit mode (default: model config, "
-                            "normally delta — incremental re-mine + in-place TPT patch)")
+                            "normally delta — incremental re-mine)")
     serve.add_argument("--refit-full-every", type=int, default=None,
-                       help="force a full re-mine every Nth refit per object")
+                       help="override the models' staleness budget: a full re-mine "
+                            "after this many delta refits per object")
     serve.add_argument("--gap-policy", choices=("reject", "pad"), default="reject",
                        help="non-contiguous ingested fixes: reject the flush or pad "
                             "gaps with the last known position")
@@ -408,6 +409,13 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _refit_policy(args) -> dict:
+    """``--refit-mode``/``--refit-full-every`` as config overrides (the
+    ones given)."""
+    policy = {"refit_mode": args.refit_mode, "refit_full_every": args.refit_full_every}
+    return {name: value for name, value in policy.items() if value is not None}
+
+
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -431,8 +439,6 @@ def _cmd_serve(args) -> int:
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         max_batch=args.max_batch,
         update_after=args.update_after,
-        refit_mode=args.refit_mode,
-        refit_full_every=args.refit_full_every,
         gap_policy=args.gap_policy,
         enable_cache=args.cache_ttl > 0,
         max_inflight_predict=args.max_inflight_predict,
@@ -447,6 +453,7 @@ def _cmd_serve(args) -> int:
     service = PredictionService.from_snapshot(
         args.snapshot, config, warmup_workers=args.warmup_workers
     )
+    service.fleet.override_refit_policy(**_refit_policy(args))
     server = PredictionServer(service, host=args.host, port=args.port)
 
     async def run() -> None:
@@ -530,8 +537,6 @@ def _cmd_shard_worker(args) -> int:
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         enable_cache=args.cache_ttl > 0,
         update_after=args.update_after,
-        refit_mode=args.refit_mode,
-        refit_full_every=args.refit_full_every,
         gap_policy=args.gap_policy,
     )
     try:
@@ -548,6 +553,7 @@ def _cmd_shard_worker(args) -> int:
                 config=config,
                 grace=args.grace,
                 max_workers=args.warmup_workers,
+                refit_policy=_refit_policy(args),
             )
         )
     except KeyboardInterrupt:

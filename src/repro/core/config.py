@@ -29,11 +29,6 @@ __all__ = ["HPMConfig"]
 
 _WEIGHT_FUNCTIONS = ("linear", "quadratic", "exponential", "factorial")
 
-# Options removed from HPMConfig that older snapshots still store.
-_RETIRED_KEYS = frozenset(
-    {"query_backend", "velocity_filter", "velocity_bands", "velocity_slack"}
-)
-
 
 @dataclass(frozen=True)
 class HPMConfig:
@@ -79,16 +74,12 @@ class HPMConfig:
         Number of trailing samples treated as "recent movements" when
         mapping a query to frequent regions and when fitting the fallback
         motion function.
-    tree_max_entries / tree_min_entries:
-        TPT node capacity and minimum fill.
     refit_mode:
         How :meth:`HybridPredictionModel.update` refreshes mined state:
         ``"delta"`` (default) re-clusters only the offsets that received
-        new rows, re-scores only the rules a changed region can move, and
-        patches the TPT in place — byte-identical to a scratch fit (see
-        DESIGN.md §11); ``"full"`` always re-mines the whole history (the
-        legacy path).  Either mode rebuilds the index when key geometry
-        drifts.
+        new rows and re-scores only the rules a changed region can move —
+        byte-identical to a scratch fit (see DESIGN.md §11); ``"full"``
+        always re-mines the whole history (the legacy path).
     refit_full_every:
         Staleness budget: force a full re-mine after this many consecutive
         delta refits (``None`` = never — delta refits are exact, so the
@@ -109,8 +100,6 @@ class HPMConfig:
     max_consequence_gap: int | None = None
     far_premise_stride: int = 5
     recent_window: int = 10
-    tree_max_entries: int = 32
-    tree_min_entries: int | None = None
     refit_mode: str = "delta"
     refit_full_every: int | None = None
 
@@ -194,11 +183,9 @@ class HPMConfig:
     def from_dict(cls, stored: dict) -> "HPMConfig":
         """Rebuild a config stored by ``dataclasses.asdict`` in a snapshot.
 
-        Snapshots written before the scan backend and the velocity filter
-        were removed carry their four option keys; they are dropped here so
-        those snapshots keep loading.  Any other unknown key still raises.
+        An unknown key raises ``TypeError``.
         """
-        return cls(**{k: v for k, v in stored.items() if k not in _RETIRED_KEYS})
+        return cls(**stored)
 
     @property
     def effective_min_support(self) -> int:

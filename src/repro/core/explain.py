@@ -4,9 +4,11 @@ A predicted location is the centre of a frequent region chosen by the
 similarity machinery of Section VI; debugging a surprising answer means
 inspecting the candidate set, each candidate's premise-similarity
 contributions (which recent regions matched, with what weights),
-consequence similarity and confidence.  :func:`explain_query` runs the
-same retrieval and scoring as :class:`HybridPredictor` and returns all
-of it as a structured report.
+consequence similarity and confidence.  :func:`explain_query` takes the
+candidates from the same kernel block rows :class:`HybridPredictor`
+scores, re-scores them with the scalar similarity functions and returns
+all of it as a structured report, ranked like the answers (block order
+breaks full ties).
 """
 
 from __future__ import annotations
@@ -108,12 +110,18 @@ def explain_query(
     )
     distant = query_time - tc >= config.distant_threshold
 
+    kernel = predictor.kernel
+    codec = predictor.codec
     if not distant:
         method = "fqp"
-        raw = [
-            (pattern, key, None)
-            for pattern, key in predictor.tree.search_candidates(query_key)
-        ]
+        raw = []
+        pack = kernel.block_for_offset(query_time % config.period)
+        if pack is not None and query_key.premise_key:
+            raw = [
+                (pattern, None)
+                for pattern in pack.patterns
+                if codec.premise_key(pattern.premise) & query_key.premise_key
+            ]
     else:
         method = "bqp"
         raw = []
@@ -125,10 +133,10 @@ def explain_query(
                 t % config.period
                 for t in range(query_time - relaxation, query_time + relaxation + 1)
             }
-            mask = predictor.codec.consequence_mask(offsets)
-            found = predictor.tree.search_by_consequence(mask)
-            if found:
-                raw = [(p, k, relaxation) for p, k in found]
+            mask = codec.consequence_mask(offsets)
+            pack = kernel.select(mask) if mask else None
+            if pack is not None:
+                raw = [(pattern, relaxation) for pattern in pack.patterns]
                 break
             i += 1
             if query_time - i * t_eps <= tc:
@@ -136,12 +144,13 @@ def explain_query(
 
     candidates = []
     horizon = query_time - tc
-    for pattern, key, relaxation in raw:
+    for pattern, relaxation in raw:
+        premise_key = codec.premise_key(pattern.premise)
         sr = premise_similarity(
-            key.premise_key, query_key.premise_key, config.weight_function
+            premise_key, query_key.premise_key, config.weight_function
         )
         matched_labels, matched_weights = _matched_breakdown(
-            pattern, key.premise_key, query_key.premise_key, config.weight_function
+            pattern, premise_key, query_key.premise_key, config.weight_function
         )
         if relaxation is None:
             sc = None

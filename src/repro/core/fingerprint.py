@@ -3,15 +3,10 @@
 The BENCH_* benchmarks and the incremental-refit test suite prove
 optimised paths safe by comparing fingerprints against a reference
 engine.  :func:`fitted_state_fingerprint` covers everything a fit
-produces — regions, pattern corpus, key-table geometry, and the TPT's
-entry *content*.
-
-Tree entries are hashed in a canonical sorted order, not traversal
-order: an in-place-patched tree (delta refit) packs its nodes
-differently from a scratch ``bulk_load`` even when it indexes the exact
-same entries, and node packing is an implementation detail, not fitted
-state.  (``bench_fit`` hashes entries in DFS order instead because it
-compares two *bulk-loaded* trees, where the packing itself must match.)
+produces — regions, pattern corpus, key-table geometry, and every
+pattern's encoded key (the content of the paper's TPT leaf entries,
+``<pk, c, p>``), hashed as ``(key value, pattern)`` pairs in sorted
+order.
 
 :func:`prediction_fingerprint` is the end-to-end check: hash the full
 prediction output over a grid of query windows and times.
@@ -26,7 +21,6 @@ from ..trajectory.point import TimedPoint
 from .keys import KeyCodec
 from .patterns import TrajectoryPattern
 from .regions import RegionSet
-from .tpt import TrajectoryPatternTree
 
 __all__ = [
     "fitted_state_fingerprint",
@@ -48,9 +42,8 @@ def fitted_state_fingerprint(
     regions: RegionSet,
     patterns: Sequence[TrajectoryPattern],
     codec: KeyCodec | None,
-    tree: TrajectoryPatternTree | None,
 ) -> str:
-    """SHA-256 over the complete fitted state, tree entries canonicalised."""
+    """SHA-256 over the complete fitted state, key entries canonicalised."""
     digest = hashlib.sha256()
     for r in regions:
         digest.update(
@@ -83,10 +76,8 @@ def fitted_state_fingerprint(
                 )
             ).encode()
         )
-    if tree is not None:
         entries = sorted(
-            (entry.signature, _pattern_repr(entry.payload))
-            for entry in tree.all_entries()
+            zip(codec.encode_values(patterns), map(_pattern_repr, patterns))
         )
         for item in entries:
             digest.update(repr(item).encode())
@@ -95,9 +86,7 @@ def fitted_state_fingerprint(
 
 def model_fingerprint(model) -> str:
     """:func:`fitted_state_fingerprint` of a fitted model's components."""
-    return fitted_state_fingerprint(
-        model.regions_, model.patterns_, model.codec_, model.tree_
-    )
+    return fitted_state_fingerprint(model.regions_, model.patterns_, model.codec_)
 
 
 def prediction_fingerprint(

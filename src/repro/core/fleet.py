@@ -500,10 +500,10 @@ class FleetPredictionModel:
         """Serial ``predict_all`` with cross-object kernel batching.
 
         Three phases: (1) build each object's prepared plan under its
-        lock (the plan snapshots the tree's packed kernel arrays there);
+        lock (the plan takes the model's score kernel there);
         (2) prime every plan's FQP entry in one stacked kernel invocation
-        outside the locks — the packs are immutable snapshots, so a
-        concurrent refit cannot be scored mid-patch; (3) answer each
+        outside the locks — kernels are immutable and a refit installs a
+        new one, so a concurrent refit cannot be scored mid-swap; (3) answer each
         query under the object's lock again, hitting the primed memo.
         Answers (and model-level metrics) match the per-object loop;
         plan-build errors surface in input order, as the serial loop's
@@ -523,6 +523,25 @@ class FleetPredictionModel:
             with self.object_lock(object_id):
                 out[object_id] = model.predict_prepared(plan, query_time, k=1)[0]
         return out
+
+    def override_refit_policy(self, **overrides) -> None:
+        """Apply ``HPMConfig.with_overrides`` with ``refit_mode`` and/or
+        ``refit_full_every`` to the fleet and every model.
+
+        The serve entry points call this at startup.  The refit policy
+        steers :meth:`HybridPredictionModel.update` only, so fitted state
+        and answers are untouched; any other field raises ``ValueError``.
+        """
+        unknown = sorted(set(overrides) - {"refit_mode", "refit_full_every"})
+        if unknown:
+            raise ValueError(f"not a refit policy field: {', '.join(unknown)}")
+        if not overrides:
+            return
+        self.config = self.config.with_overrides(**overrides)
+        with self._registry_lock:
+            models = list(self._models.values())
+        for model in models:
+            model.config = model.config.with_overrides(**overrides)
 
     def prewarm_locate_cache(self, limit: int = 512) -> int:
         """Prime every object's region-locate memo from its history tail.

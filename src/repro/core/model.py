@@ -9,10 +9,11 @@ Typical use::
     predictions = model.predict(recent, query_time)
 
 ``fit`` runs the full offline pipeline of Sections IV and V — frequent-
-region discovery, pruned pattern mining, key-table construction, TPT
-build — and wires up the Section VI query processor.  When the history is
-too weak to yield any pattern the model degrades to its motion function
-(the paper's fallback), so ``predict`` always answers.
+region discovery, pruned pattern mining, key-table construction — packs
+the pattern table into the score kernel, and wires up the Section VI
+query processor.  When the history is too weak to yield any pattern the
+model degrades to its motion function (the paper's fallback), so
+``predict`` always answers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .refit import (
     intern_regions,
 )
 from .regions import RegionSet, discover_frequent_regions
-from .tpt import TrajectoryPatternTree
+from .scorekernel import ScoreKernel
 
 __all__ = ["HybridPredictionModel"]
 
@@ -75,7 +76,7 @@ class HybridPredictionModel:
         self._patterns: list[TrajectoryPattern] = []
         self._mining_stats: PatternMiningStats | None = None
         self._codec: KeyCodec | None = None
-        self._tree: TrajectoryPatternTree | None = None
+        self._kernel: ScoreKernel | None = None
         self._predictor: HybridPredictor | None = None
         self._metrics = None
         self._fit_phase_seconds: dict[str, float] = {}
@@ -118,7 +119,7 @@ class HybridPredictionModel:
     # training
     # ------------------------------------------------------------------
     def fit(self, trajectory: Trajectory) -> "HybridPredictionModel":
-        """Mine patterns from ``trajectory`` and build the TPT."""
+        """Mine patterns from ``trajectory`` and pack the score kernel."""
         if len(trajectory) < self.config.period:
             raise ValueError(
                 f"history of {len(trajectory)} samples is shorter than one "
@@ -144,12 +145,11 @@ class HybridPredictionModel:
         The paper's dynamic-data path folds accumulated data back into the
         mined state.  With ``refit="delta"`` (the config default) only the
         offsets that received new rows are re-clustered and only the rules
-        a changed region can move are re-scored; the TPT is patched in
-        place via the paper's dynamic insertion (Algorithm 1) and entry
-        removal.  ``refit="full"`` re-mines the whole history.  Both modes
-        produce state byte-identical to :meth:`fit` over the concatenated
-        history, and both rebuild the index when the key geometry drifts
-        (new/removed frequent regions or consequence offsets).
+        a changed region can move are re-scored.  ``refit="full"``
+        re-mines the whole history.  Both modes produce a pattern table
+        byte-identical to :meth:`fit` over the concatenated history, and
+        the score kernel is packed from that table, so the answers are
+        identical too.
 
         Equivalent to ``commit_update(prepare_update(...))``; callers that
         hold a lock during model mutation can run :meth:`prepare_update`
@@ -167,11 +167,12 @@ class HybridPredictionModel:
     ) -> StagedUpdate:
         """Compute a model refresh without mutating the model.
 
-        Runs the heavy phases — (delta) clustering, (delta) mining and the
-        corpus diff — against a snapshot of the current state and returns
-        a :class:`StagedUpdate` for :meth:`commit_update`.  Thread-safe
-        with concurrent readers; a concurrent writer that lands first
-        makes the eventual commit raise :class:`StaleUpdateError`.
+        Runs every heavy phase — (delta) clustering, (delta) mining and
+        building the new score kernel — against a snapshot of the current
+        state and returns a :class:`StagedUpdate` for
+        :meth:`commit_update`.  Thread-safe with concurrent readers; a
+        concurrent writer that lands first makes the eventual commit raise
+        :class:`StaleUpdateError`.
         """
         self._require_fitted()
         # Token first: a concurrent install between this read and the
@@ -181,8 +182,7 @@ class HybridPredictionModel:
         old_regions = self._regions
         old_patterns = self._patterns
         old_stats = self._mining_stats
-        old_codec = self._codec
-        old_tree = self._tree
+        old_kernel = self._kernel
         assert old_history is not None and old_regions is not None
         cfg = self.config
 
@@ -271,39 +271,46 @@ class HybridPredictionModel:
             )
         phase_seconds["mine"] = time.perf_counter() - mine_start
 
-        consequence_offsets = sorted({p.consequence.offset for p in patterns})
+        index_start = time.perf_counter()
+        codec = kernel = None
         if not patterns:
-            plan = "clear"
-        elif mode != "delta" or old_tree is None or old_codec is None:
-            # A full re-mine rebuilds its index wholesale — that *is* the
-            # baseline the delta path is measured against; diffing a fully
-            # re-mined corpus would cost more than the rebuild.
-            plan = "rebuild"
-        elif [(r.offset, r.index) for r in regions] != [
-            (r.offset, r.index) for r in old_regions
-        ]:
-            # Region universe changed: every region id (hence every stored
-            # premise key) would shift — re-encode from scratch.
-            plan = "rebuild"
-        elif consequence_offsets != old_codec.consequence_offsets():
-            plan = "rebuild"
-        else:
-            plan = "patch"
-
-        if plan == "clear":
             index_desc = "cleared"
-        elif plan == "rebuild":
-            index_desc = "rebuilt"
-        elif corpus_delta.empty:
-            index_desc = "kept"
         else:
-            index_desc = "patched"
+            same_regions = (
+                corpus_delta is not None
+                and old_kernel is not None
+                and [(r.offset, r.index) for r in regions]
+                == [(r.offset, r.index) for r in old_regions]
+            )
+            if not same_regions:
+                # A full re-mine, or the region ids moved.
+                index_desc = "rebuilt"
+                kernel = ScoreKernel.from_patterns(
+                    regions, patterns, cfg.weight_function
+                )
+            elif corpus_delta.empty:
+                # The same pattern objects under the same region ids: the
+                # installed kernel is already this table's.
+                index_desc = "kept"
+                kernel = old_kernel
+            else:
+                # Kept rows keep their region ids: swap only what moved.
+                index_desc = "patched"
+                kernel = old_kernel.updated(
+                    regions,
+                    corpus_delta.removes,
+                    corpus_delta.rebinds,
+                    corpus_delta.inserts,
+                )
+            codec = KeyCodec(regions, kernel.consequence_offsets())
+        phase_seconds["index"] = time.perf_counter() - index_start
+
         if corpus_delta is not None:
             added, removed = corpus_delta.added, corpus_delta.removed
             replaced, kept = corpus_delta.replaced, corpus_delta.kept
         else:
-            # Full re-mine: the corpus is not diffed (see plan above);
-            # report wholesale replacement.
+            # Full re-mine: the corpus is not diffed; report wholesale
+            # replacement.
             added, removed, replaced, kept = len(patterns), len(old_patterns), 0, 0
         stats = RefitStats(
             mode=mode,
@@ -317,7 +324,6 @@ class HybridPredictionModel:
             patterns_replaced=replaced,
             patterns_kept=kept,
         )
-        use_ops = plan == "patch" and corpus_delta is not None
         return StagedUpdate(
             token=token,
             history=history,
@@ -325,21 +331,18 @@ class HybridPredictionModel:
             patterns=patterns,
             mining_stats=mining_stats,
             refit=stats,
-            index_plan=plan,
-            consequence_offsets=consequence_offsets,
-            insert_ops=corpus_delta.inserts if use_ops else [],
-            remove_ops=corpus_delta.removes if use_ops else [],
-            rebind_ops=corpus_delta.rebinds if use_ops else [],
+            codec=codec,
+            kernel=kernel,
             phase_seconds=phase_seconds,
         )
 
     def commit_update(self, staged: StagedUpdate) -> "HybridPredictionModel":
         """Install a refresh prepared by :meth:`prepare_update`.
 
-        Cheap relative to preparation: a pointer swap plus bounded TPT
-        surgery (or a fresh index build on geometry drift).  Raises
-        :class:`StaleUpdateError` without touching any state when the
-        model was re-fitted/updated after the staged update was prepared.
+        A pointer swap: the staged update already carries the new key
+        tables and score kernel.  Raises :class:`StaleUpdateError`
+        without touching any state when the model was re-fitted/updated
+        after the staged update was prepared.
         """
         self._require_fitted()
         if staged.token != self._state_token:
@@ -347,29 +350,12 @@ class HybridPredictionModel:
                 "model state advanced since prepare_update (token "
                 f"{staged.token} != {self._state_token}); prepare again"
             )
-        index_start = time.perf_counter()
         self._history = staged.history
         self._regions = staged.regions
         self._patterns = staged.patterns
         self._mining_stats = staged.mining_stats
         self._fit_phase_seconds = dict(staged.phase_seconds)
-        if staged.index_plan == "patch":
-            tree = self._tree
-            assert tree is not None
-            codec = KeyCodec(staged.regions, staged.consequence_offsets)
-            tree.rebind_codec(codec)
-            self._codec = codec
-            # Re-scored same-position rules first: their keys are
-            # unchanged, so they are payload swaps, not tree surgery.
-            tree.rebind_patterns(staged.rebind_ops)
-            for pattern in staged.remove_ops:
-                tree.remove_pattern(pattern)
-            for pattern in staged.insert_ops:
-                tree.insert_pattern(pattern)
-            self._refresh_predictor()
-            self._fit_phase_seconds["index"] = time.perf_counter() - index_start
-        else:
-            self._build_index()
+        self._install_index(staged.codec, staged.kernel)
         self._last_refit_stats = staged.refit
         self._deltas_since_full = (
             0 if staged.refit.mode == "full" else self._deltas_since_full + 1
@@ -392,15 +378,12 @@ class HybridPredictionModel:
         history: Trajectory,
         regions: RegionSet,
         patterns: list[TrajectoryPattern],
-        tree_packed: tuple | None = None,
+        kernel: ScoreKernel | None = None,
     ) -> None:
         """Install pre-mined state (used by :mod:`repro.core.persistence`).
 
-        ``tree_packed`` optionally supplies the serialised TPT structure
-        ``(entry_signatures, entry_pattern_rows, node_signatures)`` from a
-        fleet snapshot (:mod:`repro.core.persistence`), letting the index
-        rebuild skip key encoding, sorting and union derivation while
-        producing a tree structurally identical to a fresh bulk load.
+        ``kernel`` optionally supplies the score kernel a fleet snapshot
+        stored for this pattern table, so the restore skips packing it.
         """
         self._fit_phase_seconds = {}
         self._history = history
@@ -413,7 +396,7 @@ class HybridPredictionModel:
             num_frequent_premises=0,
             num_patterns=len(patterns),
         )
-        self._build_index(tree_packed)
+        self._build_index(kernel)
         self._state_token += 1
         self._deltas_since_full = 0
         self._last_refit_stats = None
@@ -452,35 +435,43 @@ class HybridPredictionModel:
         self._mining_stats = stats
         self._fit_phase_seconds["mine"] = time.perf_counter() - mine_start
 
-    def _build_index(self, tree_packed: tuple | None = None) -> None:
+    def _build_index(self, kernel: ScoreKernel | None = None) -> None:
         assert self._regions is not None
         index_start = time.perf_counter()
-        if len(self._regions) == 0 or not self._patterns:
-            # Pattern-free degenerate mode: every query falls back to the
-            # motion function, exactly as Algorithms 2/3 prescribe when no
-            # candidate exists.
-            self._codec = None
-            self._tree = None
-            self._predictor = None
-            self._fit_phase_seconds["index"] = time.perf_counter() - index_start
-            return
-        self._codec = KeyCodec.from_patterns(self._regions, self._patterns)
-        self._tree = TrajectoryPatternTree(
-            self._codec,
-            max_entries=self.config.tree_max_entries,
-            min_entries=self.config.tree_min_entries,
-        )
-        if tree_packed is not None:
-            entry_signatures, entry_rows, node_signatures = tree_packed
-            self._tree.bulk_load_packed(
-                entry_signatures,
-                [self._patterns[i] for i in entry_rows],
-                node_signatures,
-            )
-        else:
-            self._tree.bulk_load_patterns(self._patterns)
-        self._refresh_predictor()
+        codec = None
+        if len(self._regions) and self._patterns:
+            if kernel is None:
+                kernel = ScoreKernel.from_patterns(
+                    self._regions, self._patterns, self.config.weight_function
+                )
+            codec = KeyCodec(self._regions, kernel.consequence_offsets())
+        self._install_index(codec, kernel)
         self._fit_phase_seconds["index"] = time.perf_counter() - index_start
+
+    def _install_index(
+        self, codec: KeyCodec | None, kernel: ScoreKernel | None
+    ) -> None:
+        """Swap in key tables, kernel and query processor together.
+
+        ``codec is None`` is the pattern-free degenerate mode: every query
+        falls back to the motion function, exactly as Algorithms 2/3
+        prescribe when no candidate exists.
+        """
+        assert self._regions is not None
+        self._codec = codec
+        self._kernel = kernel if codec is not None else None
+        self._predictor = (
+            None
+            if codec is None
+            else HybridPredictor(
+                regions=self._regions,
+                codec=codec,
+                kernel=kernel,
+                config=self.config,
+                motion_factory=self.motion_factory,
+                metrics=self._metrics,
+            )
+        )
 
     def _observe_fit_phases(self, registry=None) -> None:
         """Record the last fit's phase timings into a metrics registry.
@@ -494,18 +485,6 @@ class HybridPredictionModel:
             return
         for phase, seconds in self.fit_phase_seconds_.items():
             registry.histogram(f"fit_phase_seconds_{phase}").observe(seconds)
-
-    def _refresh_predictor(self) -> None:
-        assert self._regions is not None
-        assert self._codec is not None and self._tree is not None
-        self._predictor = HybridPredictor(
-            regions=self._regions,
-            codec=self._codec,
-            tree=self._tree,
-            config=self.config,
-            motion_factory=self.motion_factory,
-            metrics=self._metrics,
-        )
 
     # ------------------------------------------------------------------
     # prediction
@@ -525,7 +504,7 @@ class HybridPredictionModel:
         return PreparedQuery(
             regions=None,
             codec=None,
-            tree=None,
+            kernel=None,
             config=self.config,
             motion_factory=self.motion_factory,
             recent=recent,
@@ -725,10 +704,10 @@ class HybridPredictionModel:
         return self._codec
 
     @property
-    def tree_(self) -> TrajectoryPatternTree | None:
-        """The TPT (``None`` in pattern-free mode)."""
+    def kernel_(self) -> ScoreKernel | None:
+        """The packed score kernel (``None`` in pattern-free mode)."""
         self._require_fitted()
-        return self._tree
+        return self._kernel
 
     @property
     def predictor_(self) -> HybridPredictor | None:
@@ -741,9 +720,9 @@ class HybridPredictionModel:
         """Wall-clock seconds of the last fit/update, keyed by phase.
 
         Phases: ``cluster`` (frequent-region discovery), ``mine`` (pattern
-        mining) and ``index`` (key tables + TPT build, or the incremental
-        insertion pass on update).  Empty before the first fit, and for
-        models restored from snapshots written by older versions.
+        mining) and ``index`` (key tables + score-kernel packing).  Empty
+        before the first fit, and for models restored from snapshots
+        written by older versions.
         """
         return dict(getattr(self, "_fit_phase_seconds", None) or {})
 

@@ -68,13 +68,9 @@ class OnlineTracker:
         ``"pad"`` fills forward gaps by repeating the last known position.
         Fixes claiming timestamps the history already covers are always
         rejected.
-    refit_mode:
-        Per-flush override of the model's ``config.refit_mode`` (``None``
-        = use the model default).
-    full_refit_every:
-        Tracker-level staleness budget: force ``refit="full"`` on every
-        Nth flush (``None`` = never force; the model may still fall back
-        on its own ``refit_full_every``).
+
+    Each flush refits with the model's own policy: ``config.refit_mode``,
+    and a full re-mine once ``config.refit_full_every`` delta refits ran.
     """
 
     def __init__(
@@ -83,8 +79,6 @@ class OnlineTracker:
         update_after: int | None = None,
         lock: threading.RLock | None = None,
         gap_policy: str = "reject",
-        refit_mode: str | None = None,
-        full_refit_every: int | None = None,
     ):
         if not model.is_fitted:
             raise ValueError("OnlineTracker needs a fitted model")
@@ -94,20 +88,9 @@ class OnlineTracker:
             raise ValueError(
                 f"gap_policy must be one of {_GAP_POLICIES}, got {gap_policy!r}"
             )
-        if refit_mode is not None and refit_mode not in ("delta", "full"):
-            raise ValueError(
-                f"refit_mode must be 'delta', 'full' or None, got {refit_mode!r}"
-            )
-        if full_refit_every is not None and full_refit_every < 1:
-            raise ValueError(
-                f"full_refit_every must be >= 1 or None, got {full_refit_every}"
-            )
         self.model = model
         self.update_after = update_after
         self.gap_policy = gap_policy
-        self.refit_mode = refit_mode
-        self.full_refit_every = full_refit_every
-        self._flushes_since_full = 0
         self._lock = lock if lock is not None else threading.RLock()
         self._window: deque[TimedPoint] = deque(
             maxlen=model.config.recent_window
@@ -201,14 +184,8 @@ class OnlineTracker:
                 except Exception:
                     self._pending = batch
                     raise
-                refit = self.refit_mode
-                if (
-                    self.full_refit_every is not None
-                    and self._flushes_since_full + 1 >= self.full_refit_every
-                ):
-                    refit = "full"
             try:
-                staged = self.model.prepare_update(positions, refit=refit)
+                staged = self.model.prepare_update(positions)
             except Exception:
                 with self._lock:
                     self._pending = batch + self._pending
@@ -227,11 +204,6 @@ class OnlineTracker:
                 except Exception:
                     self._pending = batch + self._pending
                     raise
-                stats = self.model.last_refit_stats_
-                if stats is not None and stats.mode == "full":
-                    self._flushes_since_full = 0
-                else:
-                    self._flushes_since_full += 1
                 return len(batch)
         raise AssertionError("unreachable")  # pragma: no cover
 

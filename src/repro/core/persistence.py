@@ -5,17 +5,17 @@ rule lattice); deployments fit once and answer queries for days.  A
 fitted :class:`~repro.core.fleet.FleetPredictionModel` — one object or
 many — is stored with :func:`save_fleet` and reloaded with
 :func:`load_fleet`.  There is one on-disk format (``format_version``
-2): the **whole fleet** packed into a small fixed set of flat ``.npy``
+3): the **whole fleet** packed into a small fixed set of flat ``.npy``
 blocks plus a JSON manifest carrying a per-object ``[start, end)``
 index into every block:
 
 ``manifest.json``
-    ``format_version`` 2, the fleet config, the weight-family the stored
+    ``format_version`` 3, the fleet config, the weight family the stored
     kernels were packed for, the global pattern-table premise width, the
-    signature byte width, the expected shape of every block (load-time
-    truncation check), and the per-object offset index.
+    expected shape of every block (load-time truncation check), and the
+    per-object offset index.
 
-``block_<name>.npy`` (little-endian ``<f8`` / ``<i8``; signatures ``u1``)
+``block_<name>.npy`` (little-endian ``<f8`` / ``<i8``)
     ========================  ========  =======================================
     name                      shape     contents
     ========================  ========  =======================================
@@ -25,32 +25,23 @@ index into every block:
     region_points             (P, 2)    member points, concatenated
     region_sub_ids            (S,)      contributing sub-trajectory ids
     pattern_rows              (N, W+2)  premise region ids (−1 padded),
-                                        consequence id, support
+                                        consequence id, support; mining order
     pattern_conf              (N,)      pattern confidences
-    tree_entry_sigs           (E, Sb)   leaf-entry signatures, bulk-load
-                                        order, little-endian byte rows
-    tree_entry_pattern        (E,)      pattern row of each leaf entry
-    tree_node_sigs            (I, Sb)   internal-node signatures, bottom-up
-                                        level order (root last)
-    kernel_buckets            (B, 3)    time_id, n_rows, table width (one
-                                        width per object)
-    kernel_rows               (K, 4)    seq, pattern row, support, cons offset
-    kernel_conf               (K,)      candidate confidences
+    kernel_order              (N,)      pattern row of each score-kernel row
     kernel_cells_cols         (C,)      flattened sparse ``bit_cols``
     kernel_cells_weights      (C,)      flattened sparse ``bit_weights``
     ========================  ========  =======================================
 
-An object's kernel rows are its kernel block in bucket-major order, and
-its cells are that block's ``(rows, width)`` tables flattened, so the
-loader reshapes them into the block without a copy.  Snapshots written
-before the block stored each bucket at its own width; they load through
-one padding copy.
+The pattern table stays in mining order, which the delta miner's
+premise-group merge relies on.  The score kernel's rows are the same
+patterns in canonical order (:func:`~repro.core.scorekernel.canonical_order`);
+``kernel_order`` maps each kernel row to its table row, and an object's
+cells are its kernel block's ``(rows, width)`` tables flattened, so the
+loader reshapes them into the block without a copy and packs nothing.
 
-Snapshots written while the kernel still carried velocity-filter speeds
-also hold a ``kernel_minspeed`` block and four retired config keys; the
-loader and the repack path ignore both, so those snapshots keep loading
-(see :meth:`HPMConfig.from_dict`).  Any other ``format_version`` — the
-retired one-``.npz``-per-object layout (format 1) included — and a bare
+Any other ``format_version`` — format 2, which also stored the TPT's
+structure and a second, tree-ordered copy of the pattern table, and the
+retired one-``.npz``-per-object layout (format 1) — and a bare
 single-model ``.npz`` file are rejected with ``ValueError``.
 
 Because the blocks are raw ``.npy`` files (not a zip archive),
@@ -61,16 +52,6 @@ its objects occupy, and services on one host share the page cache.
 Region centers and bounding boxes are **stored** rather than recomputed
 — float reductions are accumulation-order sensitive and the SHA-256
 state fingerprints must stay byte-identical to the fitted model.
-
-The tree and score-kernel blocks are extracted at save time from a
-throwaway bulk-loaded tree (never from the live tree, which a delta
-refit may have patched into a different structure and DFS entry order)
-so the stored layout matches exactly what a from-scratch bulk load would
-produce.  The loader then replays the stored structure through
-``bulk_load_packed`` — no key encoding, sorting, or signature OR-ing —
-reassembles :class:`~repro.core.scorekernel.ScoreKernel` from views, and
-primes the tree's kernel cache, making the first prediction skip the
-full ``ScoreKernel.build`` pass.
 
 Copy-on-write discipline: mapped blocks are read-only.  Every mutation
 path (``update``/delta refit) already *constructs new arrays* for the
@@ -86,24 +67,27 @@ old pages when a new snapshot is saved over it.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from ..trajectory.trajectory import Trajectory
 from .config import HPMConfig
 from .fleet import FleetPredictionModel
-from .keys import KeyCodec
 from .model import HybridPredictionModel
 from .parallel import run_keyed_tasks
 from .patterns import TrajectoryPattern
 from .regions import RegionSet, regions_from_arrays
-from .scorekernel import CandidatePack, ScoreKernel, pattern_array
-from .tpt import TrajectoryPatternTree
+from .scorekernel import (
+    ScoreKernel,
+    pad_table,
+    pattern_array,
+    pattern_table,
+    region_offsets,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -114,12 +98,12 @@ __all__ = [
     "snapshot_stat",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _MANIFEST = "manifest.json"
 
 # Block name -> (dtype, trailing shape).  Dtypes are explicit little-endian;
 # on the (rare) big-endian host the loader materialises native copies.
-_BLOCK_SPECS: dict[str, tuple[str, tuple[int, ...]]] = {
+_BLOCK_SPECS: dict[str, tuple[str, tuple[int, ...] | None]] = {
     "history": ("<f8", (2,)),
     "region_rows": ("<i8", (4,)),
     "region_geo": ("<f8", (6,)),
@@ -127,12 +111,7 @@ _BLOCK_SPECS: dict[str, tuple[str, tuple[int, ...]]] = {
     "region_sub_ids": ("<i8", ()),
     "pattern_rows": ("<i8", None),  # trailing dim is premise_width + 2
     "pattern_conf": ("<f8", ()),
-    "tree_entry_sigs": ("u1", None),  # trailing dim is sig_bytes
-    "tree_entry_pattern": ("<i8", ()),
-    "tree_node_sigs": ("u1", None),  # trailing dim is sig_bytes
-    "kernel_buckets": ("<i8", (3,)),
-    "kernel_rows": ("<i8", (4,)),
-    "kernel_conf": ("<f8", ()),
+    "kernel_order": ("<i8", ()),
     "kernel_cells_cols": ("<i8", ()),
     "kernel_cells_weights": ("<f8", ()),
 }
@@ -148,10 +127,10 @@ def _block_path(directory: Path, name: str) -> Path:
 def _object_arrays(model: HybridPredictionModel, kind: str) -> dict:
     """Columnar arrays for one fitted model (the writer's unit of work).
 
-    ``kind`` selects the weight family the kernel tables are packed for
+    ``kind`` selects the weight family the kernel cells are packed for
     (the fleet config's ``weight_function``).  Returns plain numpy arrays
-    keyed by block name plus ``start_time`` and optional ``tree`` and
-    ``kernel`` sub-dicts; :func:`_write_snapshot` concatenates them.
+    keyed by block name plus ``start_time``; :func:`_write_snapshot`
+    concatenates them.  A pattern-free model has no kernel arrays.
     """
     regions = model.regions_
     history = model.history_
@@ -180,20 +159,9 @@ def _object_arrays(model: HybridPredictionModel, kind: str) -> dict:
         sub_blocks.append(np.asarray(region.subtrajectory_ids, dtype=np.int64))
 
     patterns = model.patterns_
-    max_premise = max((len(p.premise) for p in patterns), default=1)
-    pattern_rows = np.full(
-        (len(patterns), max_premise + 2), -1, dtype=np.int64
-    )
-    pattern_conf = np.empty(len(patterns), dtype=np.float64)
-    region_id = regions.region_id
-    for i, pattern in enumerate(patterns):
-        for j, region in enumerate(pattern.premise):
-            pattern_rows[i, j] = region_id(region)
-        pattern_rows[i, max_premise] = region_id(pattern.consequence)
-        pattern_rows[i, max_premise + 1] = pattern.support
-        pattern_conf[i] = pattern.confidence
+    pattern_rows, pattern_conf = pattern_table(regions, patterns)
 
-    return {
+    arrays = {
         "start_time": history.start_time,
         "history": np.asarray(history.positions, dtype=np.float64),
         "region_rows": region_rows,
@@ -210,140 +178,32 @@ def _object_arrays(model: HybridPredictionModel, kind: str) -> dict:
         ),
         "pattern_rows": pattern_rows,
         "pattern_conf": pattern_conf,
-        **_extract_index_arrays(model.config, regions, patterns, kind),
+        "kernel": None,
     }
-
-
-def _sig_rows(signatures: Iterable[int], count: int, width: int) -> np.ndarray:
-    """Pack arbitrary-precision signatures as ``(count, width)`` uint8 rows
-    (little-endian byte order; trailing padding bytes are zero)."""
-    buf = bytearray(count * width)
-    for i, signature in enumerate(signatures):
-        buf[i * width : (i + 1) * width] = signature.to_bytes(width, "little")
-    return np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, width)
-
-
-def _extract_index_arrays(
-    config: HPMConfig,
-    regions: RegionSet,
-    patterns: Sequence[TrajectoryPattern],
-    kind: str,
-) -> dict:
-    """Serialised TPT structure and kernel blocks, in canonical order.
-
-    A live tree may have been delta-patched (insert/delete), which
-    perturbs both its packed structure and the DFS ``seq`` numbering,
-    while every snapshot *load* bulk loads from scratch — so both the
-    tree blocks and the kernel arrays are extracted from a throwaway
-    bulk-loaded tree, guaranteeing the stored structure matches what the
-    loader will reconstruct.  Returns ``{"tree": ..., "kernel": ...}``
-    (either may be ``None``).
-    """
-    if not patterns or len(regions) == 0:
-        return {"tree": None, "kernel": None}
-    codec = KeyCodec.from_patterns(regions, patterns)
-    tree = TrajectoryPatternTree(
-        codec,
-        max_entries=config.tree_max_entries,
-        min_entries=config.tree_min_entries,
-    )
-    tree.bulk_load_patterns(list(patterns))
+    kernel = model.kernel_
+    if kernel is None:
+        return arrays
+    if kernel.kind != kind:
+        kernel = ScoreKernel.from_patterns(regions, patterns, kind)
+    # Kernel rows name their table rows by object identity, so the order
+    # column and the cells come from the same block.
     pattern_row = {id(p): i for i, p in enumerate(patterns)}
-
-    entries, node_signatures = tree.export_packed()
-    sig_bytes = max(1, (tree.signature_bits + 7) // 8)
-    tree_arrays = {
-        "sig_bytes": sig_bytes,
-        "tree_entry_sigs": _sig_rows(
-            (e.signature for e in entries), len(entries), sig_bytes
-        ),
-        "tree_entry_pattern": np.fromiter(
-            (pattern_row[id(e.payload)] for e in entries),
+    block = kernel.block
+    arrays["kernel"] = {
+        "kernel_order": np.fromiter(
+            (pattern_row[id(p)] for p in block.patterns),
             dtype=np.int64,
-            count=len(entries),
+            count=block.n,
         ),
-        "tree_node_sigs": _sig_rows(
-            node_signatures, len(node_signatures), sig_bytes
-        ),
+        "kernel_cells_cols": np.asarray(block.bit_cols, dtype=np.int64).reshape(-1),
+        "kernel_cells_weights": block.bit_weights.reshape(-1),
     }
-
-    kernel = tree.score_kernel(kind)
-    buckets: list[tuple[int, int, int]] = []
-    row_blocks: list[np.ndarray] = []
-    conf_blocks: list[np.ndarray] = []
-    col_blocks: list[np.ndarray] = []
-    weight_blocks: list[np.ndarray] = []
-    for time_id, pack in kernel.export_buckets():
-        buckets.append((time_id, pack.n, pack.width))
-        rows = np.empty((pack.n, 4), dtype=np.int64)
-        rows[:, 0] = pack.seqs
-        rows[:, 1] = np.fromiter(
-            (pattern_row[id(p)] for p in pack.patterns),
-            dtype=np.int64,
-            count=pack.n,
-        )
-        rows[:, 2] = pack.supports
-        rows[:, 3] = pack.cons_offsets
-        row_blocks.append(rows)
-        conf_blocks.append(pack.confidences)
-        col_blocks.append(
-            np.asarray(pack.bit_cols, dtype=np.int64).reshape(-1)
-        )
-        weight_blocks.append(pack.bit_weights.reshape(-1))
-    kernel_arrays = {
-        "kernel_buckets": np.asarray(buckets, dtype=np.int64).reshape(-1, 3),
-        "kernel_rows": (
-            np.concatenate(row_blocks)
-            if row_blocks
-            else np.empty((0, 4), dtype=np.int64)
-        ),
-        "kernel_conf": (
-            np.concatenate(conf_blocks)
-            if conf_blocks
-            else np.empty(0, dtype=np.float64)
-        ),
-        "kernel_cells_cols": (
-            np.concatenate(col_blocks)
-            if col_blocks
-            else np.empty(0, dtype=np.int64)
-        ),
-        "kernel_cells_weights": (
-            np.concatenate(weight_blocks)
-            if weight_blocks
-            else np.empty(0, dtype=np.float64)
-        ),
-    }
-    return {"tree": tree_arrays, "kernel": kernel_arrays}
+    return arrays
 
 
 # ----------------------------------------------------------------------
 # save side: the packed writer
 # ----------------------------------------------------------------------
-def _pad_pattern_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """Re-pad a ``(N, w+2)`` pattern table to global premise width."""
-    local = rows.shape[1] - 2
-    if local == width:
-        return rows
-    out = np.full((rows.shape[0], width + 2), -1, dtype=np.int64)
-    out[:, :local] = rows[:, :local]
-    out[:, width] = rows[:, local]
-    out[:, width + 1] = rows[:, local + 1]
-    return out
-
-
-def _pad_sig_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """Widen uint8 signature rows to the global byte width.
-
-    Signatures are little-endian, so the padding bytes go on the right
-    and the decoded integers are unchanged.
-    """
-    if rows.shape[1] == width:
-        return rows
-    out = np.zeros((rows.shape[0], width), dtype=np.uint8)
-    out[:, : rows.shape[1]] = rows
-    return out
-
-
 def _write_snapshot(
     directory: str | Path,
     config: dict,
@@ -362,14 +222,6 @@ def _write_snapshot(
     directory.mkdir(parents=True, exist_ok=True)
     premise_width = max(
         (arrays["pattern_rows"].shape[1] - 2 for _oid, arrays in entries),
-        default=1,
-    )
-    sig_bytes = max(
-        (
-            arrays["tree"]["sig_bytes"]
-            for _oid, arrays in entries
-            if arrays.get("tree") is not None
-        ),
         default=1,
     )
     concat: dict[str, list[np.ndarray]] = {name: [] for name in _BLOCK_SPECS}
@@ -391,50 +243,28 @@ def _write_snapshot(
             "sub_ids": _append("region_sub_ids", arrays["region_sub_ids"]),
             "patterns": _append(
                 "pattern_rows",
-                _pad_pattern_rows(arrays["pattern_rows"], premise_width),
+                pad_table(arrays["pattern_rows"], premise_width),
             ),
         }
         _append("region_geo", arrays["region_geo"])
         _append("pattern_conf", arrays["pattern_conf"])
-        tree = arrays.get("tree")
-        if tree is None:
-            entry["tree"] = None
-        else:
-            entry["tree"] = {
-                "entries": _append(
-                    "tree_entry_sigs",
-                    _pad_sig_rows(tree["tree_entry_sigs"], sig_bytes),
-                ),
-                "nodes": _append(
-                    "tree_node_sigs",
-                    _pad_sig_rows(tree["tree_node_sigs"], sig_bytes),
-                ),
-            }
-            _append("tree_entry_pattern", tree["tree_entry_pattern"])
-        kernel = arrays.get("kernel")
+        kernel = arrays["kernel"]
         if kernel is None:
             entry["kernel"] = None
         else:
+            _append("kernel_order", kernel["kernel_order"])
             entry["kernel"] = {
-                "buckets": _append("kernel_buckets", kernel["kernel_buckets"]),
-                "rows": _append("kernel_rows", kernel["kernel_rows"]),
                 "cells": _append(
                     "kernel_cells_cols", kernel["kernel_cells_cols"]
                 ),
             }
-            _append("kernel_conf", kernel["kernel_conf"])
             _append("kernel_cells_weights", kernel["kernel_cells_weights"])
         objects[object_id] = entry
 
-    dynamic_trailing = {
-        "pattern_rows": (premise_width + 2,),
-        "tree_entry_sigs": (sig_bytes,),
-        "tree_node_sigs": (sig_bytes,),
-    }
     shapes: dict[str, list[int]] = {}
     for name, (dtype, trailing) in _BLOCK_SPECS.items():
         if trailing is None:
-            trailing = dynamic_trailing[name]
+            trailing = (premise_width + 2,)
         parts = concat[name]
         if parts:
             block = np.concatenate(parts, axis=0)
@@ -456,7 +286,6 @@ def _write_snapshot(
         "config": config,
         "kernel_kind": kernel_kind,
         "premise_width": premise_width,
-        "sig_bytes": sig_bytes,
         "blocks": shapes,
         "objects": objects,
     }
@@ -485,8 +314,7 @@ def save_fleet(
 ) -> None:
     """Serialise a fleet as a snapshot directory.
 
-    Per-object array extraction (which includes packing the kernel tables
-    from a throwaway bulk-loaded tree) fans out over a thread pool of
+    Per-object array extraction fans out over a thread pool of
     ``max_workers``; the concatenation and block writes are serial in
     ``fleet.object_ids()`` order, keeping the output byte-identical
     regardless of worker count.  Existing snapshot files in the
@@ -516,7 +344,7 @@ def save_fleet(
 # load side
 # ----------------------------------------------------------------------
 def read_manifest(directory: str | Path) -> dict:
-    """Read a snapshot's manifest, rejecting anything but format 2."""
+    """Read a snapshot's manifest, rejecting any format but the current one."""
     directory = Path(directory)
     if directory.is_file():
         found = (
@@ -536,7 +364,7 @@ def read_manifest(directory: str | Path) -> dict:
     if version != FORMAT_VERSION:
         raise ValueError(
             f"{directory}: unsupported fleet format {version!r}; only "
-            f"format {FORMAT_VERSION} loads"
+            f"format {FORMAT_VERSION} loads (re-fit and save to upgrade)"
         )
     return manifest
 
@@ -574,85 +402,40 @@ def _open_blocks(directory: Path, manifest: dict) -> dict[str, np.ndarray]:
 
 def _kernel_from_arrays(
     blocks: dict[str, np.ndarray],
-    index: dict,
+    entry: dict,
     patterns: list[TrajectoryPattern],
-    codec: KeyCodec,
+    regions: RegionSet,
     kind: str,
 ) -> ScoreKernel:
     """Reassemble a :class:`ScoreKernel` from stored blocks.
 
-    The stored buckets are the kernel block's rows in order.  When every
-    bucket has one table width — what the writer emits — the cells are
-    reshaped into the block as views of the mapping, no copy.  Snapshots
-    written with per-bucket widths are padded into the block with one
-    copy.  Only the pattern array is rebuilt.
+    The stored cells are the kernel block's rows in order, so they are
+    reshaped into the block as views of the mapping, no copy; the other
+    columns are gathered from the pattern table by ``kernel_order``.
     """
-    b0, b1 = index["buckets"]
-    r0, r1 = index["rows"]
-    c0, c1 = index["cells"]
-    buckets = blocks["kernel_buckets"][b0:b1].tolist()
-    rows = blocks["kernel_rows"][r0:r1]
-    cols = blocks["kernel_cells_cols"][c0:c1]
-    weights = blocks["kernel_cells_weights"][c0:c1]
-    n_rows = rows.shape[0]
-    width = max((w for _t, _n, w in buckets), default=1)
-    if cols.shape[0] == n_rows * width:
-        bit_cols = cols.reshape(n_rows, width).astype(np.intp, copy=False)
-        bit_weights = weights.reshape(n_rows, width)
-    else:
-        bit_cols = np.zeros((n_rows, width), dtype=np.intp)
-        bit_weights = np.zeros((n_rows, width), dtype=np.float64)
-        row = cell = 0
-        for _time_id, n, w in buckets:
-            bit_cols[row : row + n, :w] = cols[cell : cell + n * w].reshape(n, w)
-            bit_weights[row : row + n, :w] = weights[cell : cell + n * w].reshape(
-                n, w
-            )
-            row += n
-            cell += n * w
-    counts = [0] * (codec.consequence_length + 1)
-    for time_id, n, _w in buckets:
-        counts[time_id + 1] = n
-    bounds = list(itertools.accumulate(counts))
-    block = CandidatePack(
-        seqs=rows[:, 0],
-        bit_cols=bit_cols,
-        bit_weights=bit_weights,
-        confidences=blocks["kernel_conf"][r0:r1],
-        supports=rows[:, 2],
-        cons_offsets=rows[:, 3],
-        patterns=pattern_array([patterns[i] for i in rows[:, 1].tolist()]),
+    t0, t1 = entry["patterns"]
+    c0, c1 = entry["kernel"]["cells"]
+    n_rows = t1 - t0
+    width, extra = divmod(c1 - c0, n_rows)
+    if extra or width < 1:
+        raise ValueError(
+            f"{c1 - c0} kernel cells do not tile {n_rows} kernel rows "
+            "(truncated or corrupt snapshot)"
+        )
+    order = blocks["kernel_order"][t0:t1]
+    return ScoreKernel(
+        kind,
+        pattern_array(patterns)[order],
+        blocks["pattern_rows"][t0:t1][order],
+        blocks["pattern_conf"][t0:t1][order],
+        region_offsets(regions),
+        cells=(
+            blocks["kernel_cells_cols"][c0:c1]
+            .reshape(n_rows, width)
+            .astype(np.intp, copy=False),
+            blocks["kernel_cells_weights"][c0:c1].reshape(n_rows, width),
+        ),
     )
-    offset_time_ids = {
-        offset: time_id
-        for time_id, offset in enumerate(codec.consequence_offsets())
-    }
-    return ScoreKernel(kind, codec.premise_length, block, bounds, offset_time_ids)
-
-
-def _unpack_tree(
-    blocks: dict[str, np.ndarray], index: dict, sig_bytes: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Decode the serialised tree structure for ``bulk_load_packed``.
-
-    Returns ``(entry_signatures, entry_pattern_rows, node_signatures)``;
-    signatures come back as Python bigints from their little-endian byte
-    rows, already in the canonical bulk-load order.
-    """
-    e0, e1 = index["entries"]
-    n0, n1 = index["nodes"]
-    ebuf = blocks["tree_entry_sigs"][e0:e1].tobytes()
-    nbuf = blocks["tree_node_sigs"][n0:n1].tobytes()
-    w = sig_bytes
-    entry_sigs = [
-        int.from_bytes(ebuf[i * w : (i + 1) * w], "little")
-        for i in range(e1 - e0)
-    ]
-    node_sigs = [
-        int.from_bytes(nbuf[i * w : (i + 1) * w], "little")
-        for i in range(n1 - n0)
-    ]
-    return entry_sigs, blocks["tree_entry_pattern"][e0:e1].tolist(), node_sigs
 
 
 def _restore_object(
@@ -660,7 +443,6 @@ def _restore_object(
     blocks: dict[str, np.ndarray],
     entry: dict,
     premise_width: int,
-    sig_bytes: int,
     kernel_kind: str | None,
 ) -> HybridPredictionModel:
     """Rebuild one model from its slice of the mapped blocks."""
@@ -709,24 +491,13 @@ def _restore_object(
         )
     ]
 
-    tree_index = entry.get("tree")
-    tree_packed = (
-        _unpack_tree(blocks, tree_index, sig_bytes)
-        if tree_index is not None
-        else None
-    )
-    model = HybridPredictionModel(config)
-    model._restore(history, region_set, patterns, tree_packed=tree_packed)
-    kernel_index = entry.get("kernel")
-    if (
-        kernel_index is not None
-        and kernel_kind is not None
-        and model.tree_ is not None
-    ):
+    kernel = None
+    if entry.get("kernel") is not None and kernel_kind is not None:
         kernel = _kernel_from_arrays(
-            blocks, kernel_index, patterns, model.codec_, kernel_kind
+            blocks, entry, patterns, region_set, kernel_kind
         )
-        model.tree_.prime_score_kernel(kernel_kind, kernel)
+    model = HybridPredictionModel(config)
+    model._restore(history, region_set, patterns, kernel=kernel)
     return model
 
 
@@ -768,15 +539,14 @@ def load_fleet(
     config = HPMConfig.from_dict(manifest["config"])
     stored_kind = manifest.get("kernel_kind")
     # Stored kernels only apply when the fleet still scores with the
-    # weight family they were packed for; otherwise first queries build
-    # the right kernel lazily, exactly as after a fresh fit.
+    # weight family they were packed for; otherwise the restore packs
+    # the right kernel, exactly as a fresh fit does.
     kind = stored_kind if stored_kind == config.weight_function else None
     blocks = _open_blocks(directory, manifest)
     premise_width = int(manifest["premise_width"])
-    sig_bytes = int(manifest.get("sig_bytes", 1))
     fleet = FleetPredictionModel(config)
     jobs = [
-        (object_id, (config, blocks, entry, premise_width, sig_bytes, kind))
+        (object_id, (config, blocks, entry, premise_width, kind))
         for object_id, entry in objects.items()
     ]
     results, failures = run_keyed_tasks(
@@ -794,9 +564,7 @@ def load_fleet(
 # ----------------------------------------------------------------------
 # repack: subset / merge without model reconstruction
 # ----------------------------------------------------------------------
-def _slice_object_arrays(
-    blocks: dict[str, np.ndarray], entry: dict, sig_bytes: int
-) -> dict:
+def _slice_object_arrays(blocks: dict[str, np.ndarray], entry: dict) -> dict:
     """One object's arrays as views into the source blocks (for repack)."""
     h0, h1 = entry["history"]
     r0, r1 = entry["regions"]
@@ -812,30 +580,13 @@ def _slice_object_arrays(
         "region_sub_ids": blocks["region_sub_ids"][s0:s1],
         "pattern_rows": blocks["pattern_rows"][t0:t1],
         "pattern_conf": blocks["pattern_conf"][t0:t1],
+        "kernel": None,
     }
-    tree = entry.get("tree")
-    if tree is None:
-        arrays["tree"] = None
-    else:
-        e0, e1 = tree["entries"]
-        n0, n1 = tree["nodes"]
-        arrays["tree"] = {
-            "sig_bytes": sig_bytes,
-            "tree_entry_sigs": blocks["tree_entry_sigs"][e0:e1],
-            "tree_entry_pattern": blocks["tree_entry_pattern"][e0:e1],
-            "tree_node_sigs": blocks["tree_node_sigs"][n0:n1],
-        }
     kernel = entry.get("kernel")
-    if kernel is None:
-        arrays["kernel"] = None
-    else:
-        b0, b1 = kernel["buckets"]
-        k0, k1 = kernel["rows"]
+    if kernel is not None:
         c0, c1 = kernel["cells"]
         arrays["kernel"] = {
-            "kernel_buckets": blocks["kernel_buckets"][b0:b1],
-            "kernel_rows": blocks["kernel_rows"][k0:k1],
-            "kernel_conf": blocks["kernel_conf"][k0:k1],
+            "kernel_order": blocks["kernel_order"][t0:t1],
             "kernel_cells_cols": blocks["kernel_cells_cols"][c0:c1],
             "kernel_cells_weights": blocks["kernel_cells_weights"][c0:c1],
         }
@@ -856,7 +607,7 @@ def repack_snapshot(
     raise.  An empty selection still yields a valid (empty) snapshot.
     Returns the written object ids.
     """
-    found: dict[str, tuple[dict[str, np.ndarray], dict, int]] = {}
+    found: dict[str, tuple[dict[str, np.ndarray], dict]] = {}
     config: dict | None = None
     kind: str | None = None
     for source in sources:
@@ -871,13 +622,12 @@ def repack_snapshot(
                 f"{source}: snapshot config differs from the other sources'"
             )
         blocks = _open_blocks(source, manifest)
-        sig_bytes = int(manifest.get("sig_bytes", 1))
         for object_id, entry in manifest["objects"].items():
             if object_id in found:
                 raise ValueError(
                     f"object id {object_id!r} appears in more than one snapshot"
                 )
-            found[object_id] = (blocks, entry, sig_bytes)
+            found[object_id] = (blocks, entry)
     if config is None:
         raise ValueError("no source snapshots to repack")
     selected = sorted(found if object_ids is None else set(object_ids))

@@ -19,9 +19,11 @@ length and the serve batcher by the batch size.
   with an ``argpartition`` top-k instead of a full sort.
 
 Every answer is **byte-identical** to the unprepared per-candidate
-algorithm (tree descent, uncached Eq. 1, full sort + slice): the kernel
-accumulates similarity floats in the same order and reproduces the sort's
-tie order (see the scorekernel module docstring), and the fallback chain
+algorithm (brute-force two-part Intersect, uncached Eq. 1, full sort +
+slice with the canonical pattern identity as the last key): the kernel
+accumulates similarity floats in the same order and breaks full ties by
+block position, which is that identity (see the scorekernel module
+docstring), and the fallback chain
 degrades exactly like the original ``_motion_prediction`` (primary
 function, then linear, then stationary).  That per-candidate algorithm is
 kept only as the test suite's reference; a kernel error propagates to the
@@ -45,11 +47,11 @@ from .patterns import TrajectoryPattern
 from .regions import FrequentRegion, RegionSet
 from .scorekernel import (
     KernelHits,
+    ScoreKernel,
     finalize_forward,
     premise_scores,
     prime_plan_queries,
 )
-from .tpt import TrajectoryPatternTree
 
 __all__ = ["Prediction", "PreparedQuery", "map_window_to_regions"]
 
@@ -97,16 +99,16 @@ class PreparedQuery:
     """One recent-movement window, prepared to answer many query times.
 
     Built via :meth:`HybridPredictor.prepare` or
-    :meth:`HybridPredictionModel.prepare`; ``codec``/``tree`` are ``None``
-    in pattern-free mode, where every query is answered by the motion
-    fallback.
+    :meth:`HybridPredictionModel.prepare`; ``codec``/``kernel`` are
+    ``None`` in pattern-free mode, where every query is answered by the
+    motion fallback.
     """
 
     def __init__(
         self,
         regions: RegionSet | None,
         codec: KeyCodec | None,
-        tree: TrajectoryPatternTree | None,
+        kernel: ScoreKernel | None,
         config: HPMConfig,
         motion_factory: MotionFunctionFactory,
         recent: Sequence[TimedPoint],
@@ -125,7 +127,7 @@ class PreparedQuery:
         self.stats = stats if stats is not None else {"fqp": 0, "bqp": 0, "motion": 0}
         self._regions = regions
         self._codec = codec
-        self._tree = tree
+        self._kernel = kernel
         self._window = recent[-config.recent_window :]
         if regions is not None and codec is not None:
             self.recent_regions = map_window_to_regions(
@@ -144,12 +146,10 @@ class PreparedQuery:
         self._motion_primary: MotionFunction | None | object = _UNSET
         self._motion_linear: MotionFunction | None | object = _UNSET
         self._metrics = metrics
-        self._kernel = None
         self._qvec: np.ndarray | None = None
-        if tree is not None:
-            # ``codec`` is the tree's own codec (the model installs them
-            # together), so the kernel shares its premise width.
-            self._kernel = tree.score_kernel(config.weight_function)
+        if kernel is not None:
+            # The model installs ``codec`` and ``kernel`` together, so the
+            # kernel's premise bits are this codec's region ids.
             qvec = np.zeros(codec.premise_length, dtype=np.float64)
             for bit in iter_set_bits(self.premise_key):
                 qvec[bit] = 1.0
@@ -168,7 +168,7 @@ class PreparedQuery:
             raise ValueError(
                 f"query time {query_time} must be after the current time {tc}"
             )
-        if self._tree is None:
+        if self._kernel is None:
             return [self.motion_prediction(query_time)]
         if query_time - tc >= self.config.distant_threshold:
             return self.backward(query_time, k)
@@ -240,7 +240,7 @@ class PreparedQuery:
         """The offset to pre-score for ``query_time``, or ``None`` when the
         query would not take the FQP path (no pattern index, BQP horizon,
         empty premise, or already memoised)."""
-        if self._tree is None:
+        if self._kernel is None:
             return None
         tc = self.current_time
         if not tc < query_time < tc + self.config.distant_threshold:
@@ -273,8 +273,7 @@ class PreparedQuery:
         The consequence mask grows monotonically with the interval, so each
         enlargement round only encodes the two *new* edge sub-ranges; once
         the interval covers a full period the mask saturates.  Candidates
-        are the kernel block's rows under the mask instead of a fresh tree
-        descent per round.
+        are the kernel block's rows under the mask.
         """
         for relaxation, mask in self._bqp_enlargements(query_time):
             top = self._backward_kernel(mask, relaxation, query_time, k)
@@ -336,7 +335,8 @@ class PreparedQuery:
         (S_r * min(1, d/(tq-tc)) + S_c) * c with S_c per Eq. 3, the same
         elementwise operations in the same order as ``bqp_score``.  The
         mask's buckets are at most a few row ranges of the kernel block
-        (see :meth:`ScoreKernel.select`); ties break by ``seq``."""
+        (see :meth:`ScoreKernel.select`); full ties break by block
+        position."""
         pack = self._kernel.select(mask)
         if pack is None:
             return None

@@ -3,7 +3,7 @@
 Given an object's recent movements and a query time the predictor:
 
 * dispatches to **Forward Query Processing** (Algorithm 2) for non-distant
-  queries — retrieve the TPT patterns whose premise intersects the recent
+  queries — retrieve the patterns whose premise intersects the recent
   regions and whose consequence offset equals the query offset, rank by
   ``S_p = S_r x c`` (Eq. 2), return the top-k consequence centers;
 * dispatches to **Backward Query Processing** (Algorithm 3) for distant
@@ -33,7 +33,7 @@ from .config import HPMConfig
 from .keys import KeyCodec
 from .plan import Prediction, PreparedQuery, map_window_to_regions
 from .regions import FrequentRegion, RegionSet
-from .tpt import TrajectoryPatternTree
+from .scorekernel import ScoreKernel
 
 __all__ = ["Prediction", "HybridPredictor", "PreparedQuery", "default_motion_factory"]
 
@@ -47,21 +47,28 @@ class HybridPredictor:
     """Query processor over a mined pattern corpus.
 
     Built by :class:`repro.core.model.HybridPredictionModel`; constructable
-    directly for tests and custom pipelines.
+    directly for tests and custom pipelines.  ``kernel`` must be packed
+    for ``config.weight_function`` from the pattern table ``codec`` was
+    built from (:meth:`ScoreKernel.from_patterns`).
     """
 
     def __init__(
         self,
         regions: RegionSet,
         codec: KeyCodec,
-        tree: TrajectoryPatternTree,
+        kernel: ScoreKernel,
         config: HPMConfig,
         motion_factory: MotionFunctionFactory = default_motion_factory,
         metrics=None,
     ):
+        if kernel.kind != config.weight_function:
+            raise ValueError(
+                f"kernel was packed for {kernel.kind!r} weights, the config "
+                f"scores with {config.weight_function!r}"
+            )
         self.regions = regions
         self.codec = codec
-        self.tree = tree
+        self.kernel = kernel
         self.config = config
         self.motion_factory = motion_factory
         # Serve-tier metrics registry (the kernel batch-size histogram);
@@ -94,7 +101,7 @@ class HybridPredictor:
         return PreparedQuery(
             regions=self.regions,
             codec=self.codec,
-            tree=self.tree,
+            kernel=self.kernel,
             config=self.config,
             motion_factory=self.motion_factory,
             recent=recent,

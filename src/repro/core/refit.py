@@ -12,7 +12,7 @@ concatenated history, at a fraction of the cost:
   recomputed at a dirty offset are *interned*: when the re-clustered
   region is content-identical to the previous one at the same
   ``(offset, index)``, the old object is kept, which is what lets the
-  miner and the TPT patcher detect "nothing moved here" by identity.
+  miner detect "nothing moved here" by identity.
 
 * :func:`delta_mine_trajectory_patterns` reproduces the exact output of
   :func:`repro.core.patterns.mine_trajectory_patterns` — same item order,
@@ -36,17 +36,18 @@ and the enumeration order depends only on ``(offset, index)`` ids — which
 interning preserves.  Hence the delta corpus equals the scratch corpus
 element-wise, with unchanged patterns being the *same objects*.
 
-:class:`StagedUpdate` packages one prepared refresh so the heavy phases
-can run outside any lock; :meth:`HybridPredictionModel.commit_update`
-installs it under the lock and raises :class:`StaleUpdateError` when the
-model moved in between.
+:class:`StagedUpdate` packages one prepared refresh — the new pattern
+table, key tables and score kernel — so every heavy phase runs outside
+any lock; :meth:`HybridPredictionModel.commit_update` installs it under
+the lock with a pointer swap and raises :class:`StaleUpdateError` when
+the model moved in between.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,10 @@ from ..signature import bitset
 from ..trajectory.trajectory import Trajectory
 from .patterns import PatternMiningStats, TrajectoryPattern
 from .regions import FrequentRegion, RegionSet, cluster_offset_group
+
+if TYPE_CHECKING:
+    from .keys import KeyCodec
+    from .scorekernel import ScoreKernel
 
 __all__ = [
     "StaleUpdateError",
@@ -97,9 +102,12 @@ class RefitStats:
         Why a requested delta escalated to full (``"staleness"`` — the
         ``refit_full_every`` budget ran out) or ``None``.
     index:
-        ``"kept"`` (no tree surgery needed), ``"patched"`` (in-place
-        insert/remove), ``"rebuilt"`` (key geometry drifted — fresh codec
-        and bulk load) or ``"cleared"`` (pattern-free degenerate mode).
+        ``"kept"`` (delta refit, pattern table unchanged: the installed
+        score kernel is reused), ``"patched"`` (delta refit that moved
+        some patterns under unchanged region ids: the kernel is updated
+        row-wise, :meth:`ScoreKernel.updated`), ``"rebuilt"`` (a full
+        re-mine, or the region ids moved: the kernel is packed afresh) or
+        ``"cleared"`` (pattern-free degenerate mode).
     new_rows:
         Positions appended to the history by this update.
     dirty_offsets:
@@ -108,8 +116,8 @@ class RefitStats:
         Regions whose content differed from the previous fit (new,
         reshaped, or re-indexed ones; removed regions are not counted).
     patterns_added / patterns_removed / patterns_replaced / patterns_kept:
-        Corpus diff against the previous state.  Replaced patterns count
-        once (a remove + insert pair on a patched tree).
+        Corpus diff against the previous state.  A replaced pattern is one
+        re-scored at the same premise and consequence, counted once.
     """
 
     mode: str
@@ -129,9 +137,10 @@ class StagedUpdate:
     """One prepared model refresh, ready to be committed under the lock.
 
     Produced by :meth:`HybridPredictionModel.prepare_update` (the heavy
-    phases: delta clustering + delta mining + corpus diff).  Holds no
-    references into live mutable model state; committing is a pointer swap
-    plus bounded tree surgery.
+    phases: delta clustering, delta mining and packing the score kernel).
+    Holds no references into live mutable model state; committing is a
+    pointer swap.  ``codec`` and ``kernel`` are ``None`` when the new
+    table has no pattern.
     """
 
     token: int
@@ -140,13 +149,8 @@ class StagedUpdate:
     patterns: list[TrajectoryPattern]
     mining_stats: PatternMiningStats
     refit: RefitStats
-    index_plan: str  # "patch" | "rebuild" | "clear"
-    consequence_offsets: list[int] = field(default_factory=list)
-    insert_ops: list[TrajectoryPattern] = field(default_factory=list)
-    remove_ops: list[TrajectoryPattern] = field(default_factory=list)
-    rebind_ops: list[tuple[TrajectoryPattern, TrajectoryPattern]] = field(
-        default_factory=list
-    )
+    codec: "KeyCodec | None"
+    kernel: "ScoreKernel | None"
     phase_seconds: dict = field(default_factory=dict)
 
 
@@ -225,10 +229,9 @@ def intern_regions(
 ) -> tuple[RegionSet, list[FrequentRegion]]:
     """Replace content-identical regions of ``new_regions`` by old objects.
 
-    Used by the *full* refit path so the corpus diff (and the TPT patcher)
-    can still tell unchanged regions apart by identity even though the
-    whole history was re-clustered.  Returns the interned set and the
-    regions that genuinely changed.
+    Used by the *full* refit path so unchanged regions stay the previous
+    objects even though the whole history was re-clustered.  Returns the
+    interned set and the regions that genuinely changed.
     """
     old_by_key = {(r.offset, r.index): r for r in old_regions}
     regions: list[FrequentRegion] = []
@@ -250,13 +253,11 @@ def intern_regions(
 class CorpusDelta:
     """What changed between the previous and the freshly mined corpus.
 
-    ``inserts`` are brand-new rules (structural tree inserts), ``removes``
-    are vanished rules (structural tree deletes), and ``rebinds`` are
-    re-scored rules whose premise/consequence *positions* — and hence
-    their encoded pattern key — did not move: the indexed entry keeps its
-    signature and only its payload pointer is swapped
-    (:meth:`TrajectoryPatternTree.rebind_patterns`).  ``kept`` counts
-    rules returned as the previous corpus' objects.
+    ``inserts`` are brand-new rules, ``removes`` are vanished rules, and
+    ``rebinds`` are ``(old, new)`` pairs of re-scored rules whose
+    premise/consequence *positions* — and hence their encoded pattern
+    key — did not move.  ``kept`` counts rules returned as the previous
+    corpus' objects.  :class:`RefitStats` reports the counts.
     """
 
     inserts: list[TrajectoryPattern] = field(default_factory=list)
@@ -557,14 +558,14 @@ def delta_mine_trajectory_patterns(
 
 
 def pattern_unchanged(old: TrajectoryPattern, new: TrajectoryPattern) -> bool:
-    """Whether a re-mined rule left its indexed entry perfectly valid.
+    """Whether a re-mined rule equals the previous one in every field.
 
     True only when support matches, confidence matches within
     :data:`CONFIDENCE_TOLERANCE`, and every involved region is the *same
     object* (interning guarantees identity for content-identical regions —
     an object that merely compares equal by ``(offset, index)`` may carry
-    different member points, and tree payloads serve those points' centers
-    as predicted locations).
+    different member points, and answers serve those points' centers as
+    predicted locations).
     """
     if old is new:
         return True
@@ -586,7 +587,8 @@ def diff_pattern_corpus(
     old_patterns: Sequence[TrajectoryPattern],
     new_patterns: list[TrajectoryPattern],
 ) -> tuple[list[TrajectoryPattern], list[TrajectoryPattern], int, int, int]:
-    """Corpus diff for in-place TPT patching.
+    """Corpus diff by pattern identity (the reference the delta miner's
+    :class:`CorpusDelta` is tested against).
 
     Returns ``(inserts, removes, added, replaced, kept)``.  Replaced
     patterns appear in both lists (remove the stale entry, insert the

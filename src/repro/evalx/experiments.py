@@ -26,6 +26,7 @@ from ..core.patterns import (
 )
 from ..core.prediction import HybridPredictor
 from ..core.regions import FrequentRegion, RegionSet
+from ..core.scorekernel import ScoreKernel
 from ..core.tpt import TrajectoryPatternTree
 from ..trajectory.dataset import TrajectoryDataset
 from ..trajectory.point import BoundingBox, Point
@@ -613,13 +614,16 @@ def _requery_predictor(
 
     Returns ``None`` for pattern-free models (caller falls back to RMF).
     """
-    if model.tree_ is None or model.codec_ is None:
+    kernel = model.kernel_
+    if kernel is None:
         return None
+    config = model.config.with_overrides(**query_overrides)
+    if kernel.kind != config.weight_function:
+        kernel = ScoreKernel.from_patterns(
+            model.regions_, model.patterns_, config.weight_function
+        )
     return HybridPredictor(
-        regions=model.regions_,
-        codec=model.codec_,
-        tree=model.tree_,
-        config=model.config.with_overrides(**query_overrides),
+        regions=model.regions_, codec=model.codec_, kernel=kernel, config=config
     )
 
 
@@ -852,14 +856,12 @@ def _predictor_from_patterns(
 ) -> HybridPredictor | None:
     if not patterns:
         return None
-    codec = KeyCodec.from_patterns(regions, patterns)
-    tree = TrajectoryPatternTree(
-        codec,
-        max_entries=config.tree_max_entries,
-        min_entries=config.tree_min_entries,
+    return HybridPredictor(
+        regions=regions,
+        codec=KeyCodec.from_patterns(regions, patterns),
+        kernel=ScoreKernel.from_patterns(regions, patterns, config.weight_function),
+        config=config,
     )
-    tree.bulk_load_patterns(patterns)
-    return HybridPredictor(regions=regions, codec=codec, tree=tree, config=config)
 
 
 def _evaluate_predictor(predictor: HybridPredictor, workload):

@@ -51,8 +51,8 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 )
 
 #: The training pipeline's phase names, in execution order: frequent-region
-#: discovery (``cluster``), pattern mining (``mine``) and key-table/TPT
-#: construction (``index``).  Each lands in a ``fit_phase_seconds_{phase}``
+#: discovery (``cluster``), pattern mining (``mine``) and key-table and
+#: score-kernel construction (``index``).  Each lands in a ``fit_phase_seconds_{phase}``
 #: histogram when a registry is bound during fit or snapshot warm-up.
 FIT_PHASES: tuple[str, ...] = ("cluster", "mine", "index")
 

@@ -116,10 +116,6 @@ class ServeConfig:
     #: server-side default predict deadline; ``None`` disables
     default_deadline_ms: float | None = 10_000.0
     # --- background refits ---
-    #: per-flush refit mode override: "delta" / "full" / None = model default
-    refit_mode: str | None = None
-    #: force a full re-mine every Nth flush per object (None = never force)
-    refit_full_every: int | None = None
     #: how trackers treat fixes non-contiguous with the history: "reject"/"pad"
     gap_policy: str = "reject"
     #: refits running concurrently
@@ -480,8 +476,6 @@ class PredictionService:
                 update_after=self.config.update_after,
                 lock=self.fleet.object_lock(object_id),
                 gap_policy=self.config.gap_policy,
-                refit_mode=self.config.refit_mode,
-                full_refit_every=self.config.refit_full_every,
             )
             self.trackers[object_id] = tracker
         for t, x, y in fixes:

@@ -95,11 +95,15 @@ async def run_worker(
     config: ServeConfig | None = None,
     grace: float = 5.0,
     max_workers: int | None = None,
+    refit_policy: dict | None = None,
 ) -> int:
     """Serve one shard until SIGTERM/SIGINT; returns the exit code.
 
     Binds, *then* publishes the bound port through ``ready_file`` (an
     atomic rename, so the supervisor never reads a half-written file).
+    ``refit_policy`` (``refit_mode``/``refit_full_every``) is applied to
+    the loaded models with
+    :meth:`~repro.core.fleet.FleetPredictionModel.override_refit_policy`.
     """
     fleet = load_shard_fleet(
         snapshot,
@@ -109,6 +113,7 @@ async def run_worker(
         salt=salt,
         max_workers=max_workers,
     )
+    fleet.override_refit_policy(**(refit_policy or {}))
     # The same warm-up as ``PredictionService.from_snapshot``.
     fleet.prewarm_locate_cache()
     service = PredictionService(fleet, config or ServeConfig())

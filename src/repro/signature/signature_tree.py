@@ -190,90 +190,6 @@ class SignatureTree:
             level = parents
         self.root = level[0]
 
-    def export_packed(self) -> tuple[list[LeafEntry], list[int]]:
-        """Serialise a bulk-loaded tree as flat signature sequences.
-
-        Returns ``(entries, node_signatures)``: the leaf entries in
-        left-to-right order and every internal ``signatures`` list
-        flattened bottom-up (parents of leaves first, root last) — the
-        exact consumption order of :meth:`bulk_load_packed`.  Because
-        :meth:`bulk_load` packs deterministically, a tree rebuilt from
-        these sequences (with the same ``max_entries``/``min_entries``)
-        is structurally identical to the original, without re-sorting or
-        re-deriving a single union signature.
-        """
-        levels: list[list[Node]] = [[self.root]]
-        while not levels[-1][0].is_leaf:
-            levels.append(
-                [child for node in levels[-1] for child in node.children]
-            )
-        entries = [e for leaf in levels[-1] for e in leaf.entries]
-        node_signatures: list[int] = []
-        for level in reversed(levels[:-1]):
-            for node in level:
-                node_signatures.extend(node.signatures)
-        return entries, node_signatures
-
-    def bulk_load_packed(
-        self,
-        signatures: Sequence[int],
-        payloads: Sequence[Any],
-        node_signatures: Sequence[int],
-    ) -> None:
-        """Rebuild a bulk-loaded tree from :meth:`export_packed` output.
-
-        ``signatures``/``payloads`` must already be in final (sorted)
-        leaf order and ``node_signatures`` in the flattened bottom-up
-        level order; the chunk structure is replayed with
-        :meth:`_packed_chunks`, so no sorting or union computation
-        happens.  Only valid on an empty tree.
-        """
-        if self._size:
-            raise ValueError("bulk_load_packed requires an empty tree")
-        if len(signatures) != len(payloads):
-            raise ValueError(
-                f"{len(signatures)} signatures but {len(payloads)} payloads"
-            )
-        if not signatures:
-            return
-        self.signature_bits = max(
-            self.signature_bits, signatures[-1].bit_length()
-        )
-        leaves: list[Node] = []
-        for chunk in self._packed_chunks(len(signatures)):
-            node = Node(is_leaf=True)
-            node.entries = [
-                LeafEntry(s, p)
-                for s, p in zip(signatures[chunk], payloads[chunk])
-            ]
-            leaves.append(node)
-        self._size = len(signatures)
-
-        cursor = 0
-        level = leaves
-        while len(level) > 1:
-            parents: list[Node] = []
-            for chunk in self._packed_chunks(len(level)):
-                parent = Node(is_leaf=False)
-                parent.children = level[chunk]
-                count = len(parent.children)
-                parent.signatures = list(
-                    node_signatures[cursor : cursor + count]
-                )
-                if len(parent.signatures) != count:
-                    raise ValueError(
-                        "packed tree is truncated: ran out of node signatures"
-                    )
-                cursor += count
-                parents.append(parent)
-            level = parents
-        if cursor != len(node_signatures):
-            raise ValueError(
-                f"packed tree has {len(node_signatures) - cursor} unused "
-                "node signatures (corrupt or mismatched structure)"
-            )
-        self.root = level[0]
-
     def _packed_chunks(self, n: int) -> list[slice]:
         """Split ``n`` ordered items into runs of at most ``max_entries``,
         each at least ``min_entries`` long (except a single run)."""

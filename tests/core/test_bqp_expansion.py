@@ -7,7 +7,7 @@ from repro.core.keys import KeyCodec
 from repro.core.patterns import TrajectoryPattern
 from repro.core.prediction import HybridPredictor
 from repro.core.regions import RegionSet
-from repro.core.tpt import TrajectoryPatternTree
+from repro.core.scorekernel import ScoreKernel
 from repro.trajectory import TimedPoint
 from tests.core.conftest import make_region
 
@@ -28,12 +28,11 @@ def sparse_world():
         TrajectoryPattern((mid,), goal, support=6, confidence=0.7),
     ]
     codec = KeyCodec.from_patterns(regions, patterns)
-    tree = TrajectoryPatternTree(codec, max_entries=4)
-    tree.bulk_load_patterns(patterns)
+    kernel = ScoreKernel.from_patterns(regions, patterns, "linear")
     config = HPMConfig(
         period=40, eps=5.0, distant_threshold=5, time_relaxation=2, recent_window=3
     )
-    return HybridPredictor(regions, codec, tree, config)
+    return HybridPredictor(regions, codec, kernel, config)
 
 
 class TestIntervalExpansion:
@@ -64,7 +63,7 @@ class TestIntervalExpansion:
         wide = HybridPredictor(
             sparse_world.regions,
             sparse_world.codec,
-            sparse_world.tree,
+            sparse_world.kernel,
             sparse_world.config.with_overrides(time_relaxation=10),
         )
         recent = [TimedPoint(400, 0.0, 0.0)]

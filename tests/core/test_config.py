@@ -57,17 +57,14 @@ class TestValidation:
             with pytest.raises(ValueError, match="finite and positive"):
                 HPMConfig(weight_function=kind, max_premise_length=length)
 
-    def test_from_dict_drops_only_retired_keys(self):
+    def test_from_dict_round_trips_and_rejects_unknown_keys(self):
         stored = dataclasses.asdict(HPMConfig(eps=20.0))
-        retired = dict(
-            query_backend="scan",
-            velocity_filter=True,
-            velocity_bands=4,
-            velocity_slack=2.0,
-        )
-        assert HPMConfig.from_dict({**stored, **retired}) == HPMConfig(eps=20.0)
-        with pytest.raises(TypeError):
-            HPMConfig.from_dict({**stored, "no_such_option": 1})
+        assert HPMConfig.from_dict(stored) == HPMConfig(eps=20.0)
+        # Removed options, e.g. the TPT node capacity format-2 snapshots
+        # stored, are unknown keys like any other.
+        for key in ("tree_max_entries", "query_backend", "no_such_option"):
+            with pytest.raises(TypeError):
+                HPMConfig.from_dict({**stored, key: 1})
 
     def test_frozen(self):
         cfg = HPMConfig()

@@ -6,19 +6,18 @@ from repro.core.config import HPMConfig
 from repro.core.explain import explain_query
 from repro.core.keys import KeyCodec
 from repro.core.prediction import HybridPredictor
-from repro.core.tpt import TrajectoryPatternTree
+from repro.core.scorekernel import ScoreKernel
 from repro.trajectory import TimedPoint
 
 
 @pytest.fixture
 def predictor(jane_region_set, jane_patterns):
     codec = KeyCodec.from_patterns(jane_region_set, jane_patterns)
-    tree = TrajectoryPatternTree(codec, max_entries=4)
-    tree.bulk_load_patterns(jane_patterns)
+    kernel = ScoreKernel.from_patterns(jane_region_set, jane_patterns, "linear")
     config = HPMConfig(
         period=3, eps=5.0, distant_threshold=2, time_relaxation=1, recent_window=3
     )
-    return HybridPredictor(jane_region_set, codec, tree, config)
+    return HybridPredictor(jane_region_set, codec, kernel, config)
 
 
 def at_home_then_city(t0=30):

@@ -105,6 +105,24 @@ class TestLifecycle:
         assert fleet.total_patterns() == sum(r["num_patterns"] for r in rows)
 
 
+class TestRefitPolicy:
+    def test_override_reaches_every_model_and_keeps_answers(self, fleet):
+        recent = [TimedPoint(200 + t, 80.0 * t, 0.0) for t in range(3)]
+        before = repr(fleet.predict("obj0", recent, 203))
+        fleet.override_refit_policy(refit_mode="full", refit_full_every=3)
+        for object_id in fleet.object_ids():
+            config = fleet[object_id].config
+            assert (config.refit_mode, config.refit_full_every) == ("full", 3)
+        assert fleet.config.refit_full_every == 3
+        assert repr(fleet.predict("obj0", recent, 203)) == before
+
+    def test_only_refit_fields_may_be_overridden(self, fleet):
+        with pytest.raises(ValueError, match="weight_function"):
+            fleet.override_refit_policy(weight_function="quadratic")
+        with pytest.raises(ValueError):
+            fleet.override_refit_policy(refit_mode="sometimes")
+
+
 class TestConcurrency:
     def test_interleaved_ingest_and_predict_threads(self, fleet):
         """Hammer one object with concurrent updates and predicts.

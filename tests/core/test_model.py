@@ -45,7 +45,7 @@ class TestConstruction:
     def test_unfitted_accessors_raise(self):
         model = HybridPredictionModel(period=10, distant_threshold=5)
         assert not model.is_fitted
-        for accessor in ("regions_", "patterns_", "tree_", "history_"):
+        for accessor in ("regions_", "patterns_", "kernel_", "history_"):
             with pytest.raises(RuntimeError):
                 getattr(model, accessor)
         with pytest.raises(RuntimeError):
@@ -64,9 +64,11 @@ class TestFit:
         assert len(model.regions_) == 12
         assert model.pattern_count > 0
         assert model.codec_ is not None
-        assert model.tree_ is not None
-        assert len(model.tree_) == model.pattern_count
-        model.tree_.validate()
+        assert model.kernel_ is not None
+        assert model.kernel_.block.n == model.pattern_count
+        assert set(map(id, model.kernel_.block.patterns)) == set(
+            map(id, model.patterns_)
+        )
 
     def test_mining_stats(self, fitted):
         model, _ = fitted
@@ -113,7 +115,7 @@ class TestPatternFreeMode:
             HPMConfig(period=12, eps=5.0, min_pts=8, distant_threshold=5)
         ).fit(traj)
         assert model.pattern_count == 0
-        assert model.tree_ is None
+        assert model.kernel_ is None
         recent = [TimedPoint(300 + i, float(i), 0.0) for i in range(8)]
         pred = model.predict_one(recent, 312)
         assert pred.method == "motion"
@@ -136,14 +138,17 @@ class TestUpdate:
         model.update(base + rng.normal(0, 0.8, base.shape))
         assert len(model.history_) == before + len(base)
 
-    def test_update_same_geometry_keeps_tree_instance(self, fitted):
+    def test_update_same_geometry_keeps_key_tables(self, fitted):
         model, base = fitted
-        tree_before = model.tree_
+        codec_before = model.codec_
         rng = np.random.default_rng(10)
         model.update(base + rng.normal(0, 0.8, base.shape))
-        # Same region universe: incremental insertion path keeps the tree.
-        assert model.tree_ is tree_before
-        model.tree_.validate()
+        # Same region universe: the delta path keeps every key bit.
+        assert model.last_refit_stats_.index in ("kept", "patched")
+        assert model.codec_.premise_length == codec_before.premise_length
+        assert model.codec_.consequence_offsets() == (
+            codec_before.consequence_offsets()
+        )
 
     def test_update_refreshes_stale_confidences(self, fitted):
         """After an update, every indexed pattern carries its re-mined
@@ -151,29 +156,30 @@ class TestUpdate:
         model, base = fitted
         rng = np.random.default_rng(13)
         model.update(base + rng.normal(0, 0.8, base.shape))
-        assert model.tree_ is not None
+        assert model.kernel_ is not None
+        block = model.kernel_.block
         indexed = {
-            (p.premise, p.consequence): p.confidence
-            for p in model.tree_.all_patterns()
+            (p.premise, p.consequence): p.confidence for p in block.patterns
         }
         mined = {
             (p.premise, p.consequence): p.confidence for p in model.patterns_
         }
         assert indexed == mined
-        assert len(model.tree_) == model.pattern_count
+        assert block.n == model.pattern_count
+        assert block.confidences.tolist() == [p.confidence for p in block.patterns]
 
     def test_update_new_region_rebuilds(self, fitted):
         model, _ = fitted
         rng = np.random.default_rng(11)
-        tree_before = model.tree_
+        kernel_before = model.kernel_
         # Five periods at a brand-new location create new frequent regions.
         new_route = np.tile(np.array([[5000.0, 5000.0]]), (12, 1))
         blocks = [
             new_route + rng.normal(0, 0.5, new_route.shape) for _ in range(6)
         ]
         model.update(np.vstack(blocks))
-        assert model.tree_ is not tree_before
-        model.tree_.validate()
+        assert model.last_refit_stats_.index == "rebuilt"
+        assert model.kernel_ is not kernel_before
 
     def test_update_requires_fit(self):
         model = HybridPredictionModel(period=12, distant_threshold=5)

@@ -55,7 +55,7 @@ class TestRoundTrip:
             )
 
         assert keys(loaded) == keys(model)
-        loaded.tree_.validate()
+        assert loaded.kernel_.block.n == loaded.pattern_count
 
     def test_predictions_identical(self, fitted_model, tmp_path):
         model, base = fitted_model
@@ -81,7 +81,7 @@ class TestRoundTrip:
         """A retired single-model archive is named and refused."""
         np.savez(tmp_path / "model.npz", history=np.zeros((4, 2)))
         with pytest.raises(
-            ValueError, match="single-model .npz archive.*only format 2"
+            ValueError, match="single-model .npz archive.*only format 3"
         ):
             load_fleet(tmp_path / "model.npz")
 

@@ -7,15 +7,14 @@ import pytest
 from repro.core.config import HPMConfig
 from repro.core.keys import KeyCodec
 from repro.core.prediction import HybridPredictor, Prediction
-from repro.core.tpt import TrajectoryPatternTree
+from repro.core.scorekernel import ScoreKernel
 from repro.trajectory import Point, TimedPoint
 
 
 @pytest.fixture
 def jane_predictor(jane_region_set, jane_patterns):
     codec = KeyCodec.from_patterns(jane_region_set, jane_patterns)
-    tree = TrajectoryPatternTree(codec, max_entries=4)
-    tree.bulk_load_patterns(jane_patterns)
+    kernel = ScoreKernel.from_patterns(jane_region_set, jane_patterns, "linear")
     config = HPMConfig(
         period=3,
         eps=5.0,
@@ -25,7 +24,7 @@ def jane_predictor(jane_region_set, jane_patterns):
         recent_window=3,
     )
     return HybridPredictor(
-        regions=jane_region_set, codec=codec, tree=tree, config=config
+        regions=jane_region_set, codec=codec, kernel=kernel, config=config
     )
 
 
@@ -169,12 +168,11 @@ class TestRecentMapping:
 
     def test_map_respects_window(self, jane_region_set, jane_patterns):
         codec = KeyCodec.from_patterns(jane_region_set, jane_patterns)
-        tree = TrajectoryPatternTree(codec)
-        tree.bulk_load_patterns(jane_patterns)
+        kernel = ScoreKernel.from_patterns(jane_region_set, jane_patterns, "linear")
         config = HPMConfig(
             period=3, eps=5.0, distant_threshold=2, recent_window=2
         )
-        predictor = HybridPredictor(jane_region_set, codec, tree, config)
+        predictor = HybridPredictor(jane_region_set, codec, kernel, config)
         recent = [
             TimedPoint(30, 0.0, 0.0),  # home — outside window of 2
             TimedPoint(31, 100.0, 0.0),

@@ -1,11 +1,12 @@
 """Prepared-query plans and the query-path caches.
 
-The PR-4 contract: every cache on the query path (prepared plans, the
-premise-weight tables, the TPT consequence-offset index, the locate memo,
-the RMF walk frontier) must leave answers **byte-identical** to the
-straightforward per-call computation.  These tests pin that down by
-comparing against legacy-shaped oracles: tree descents, uncached
-similarity, full sorts and fresh per-query predictors.
+The contract: every cache on the query path (prepared plans, the
+premise-weight tables, the locate memo, the RMF walk frontier) must leave
+answers **byte-identical** to the straightforward per-call computation.
+These tests pin that down by comparing against legacy-shaped oracles:
+brute-force Intersect scans, uncached similarity, full sorts and fresh
+per-query predictors.  The TPT's pruned descents are held to the same
+brute-force scans.
 """
 
 import pickle
@@ -23,16 +24,28 @@ from repro.core.patterns import (
 )
 from repro.core.plan import PreparedQuery
 from repro.core.prediction import HybridPredictor
+from repro.core.scorekernel import ScoreKernel
 from repro.core.similarity import PremiseScorer, premise_similarity
 from repro.core.tpt import TrajectoryPatternTree
 from repro.motion.rmf import RecursiveMotionFunction
 from repro.trajectory import Point, TimedPoint, Trajectory
 from tests.core.legacy_reference import (
-    descent_by_consequence,
-    descent_candidates,
+    brute_by_consequence,
+    brute_candidates,
     legacy_backward,
     legacy_forward,
 )
+
+
+def hit_set(hits):
+    """``(pattern, key)`` hits as an order-free multiset."""
+    return sorted((key.value, id(pattern)) for pattern, key in hits)
+
+
+def world_tree(model, max_entries=32):
+    tree = TrajectoryPatternTree(model.codec_, max_entries=max_entries)
+    tree.bulk_load_patterns(model.patterns_)
+    return tree
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +137,7 @@ class TestLegacyOracle:
             recent = [TimedPoint(t0 + start + j, *base[(start + j) % 16]) for j in range(3)]
             for horizon in range(1, predictor.config.distant_threshold):
                 tq = recent[-1].t + horizon
-                expected = legacy_forward(predictor, recent, tq, 4)
+                expected = legacy_forward(predictor, model.patterns_, recent, tq, 4)
                 got = predictor.forward_query(recent, tq, 4)
                 if expected is None:
                     assert got[0].method == "motion"
@@ -139,7 +152,7 @@ class TestLegacyOracle:
             recent = [TimedPoint(t0 + start + j, *base[(start + j) % 16]) for j in range(3)]
             for horizon in (6, 7, 11, 19, 33):
                 tq = recent[-1].t + horizon
-                expected = legacy_backward(predictor, recent, tq, 4)
+                expected = legacy_backward(predictor, model.patterns_, recent, tq, 4)
                 got = predictor.backward_query(recent, tq, 4)
                 if expected is None:
                     assert got[0].method == "motion"
@@ -148,12 +161,12 @@ class TestLegacyOracle:
 
 
 # ----------------------------------------------------------------------
-# TPT consequence-offset index == descent
+# TPT pruned descents == brute-force Intersect scans
 # ----------------------------------------------------------------------
 class TestConsequenceIndex:
     def test_matches_descent_everywhere(self, world):
         model, _ = world
-        tree = model.tree_
+        tree = world_tree(model)
         codec = model.codec_
         full = (1 << codec.consequence_length) - 1
         for mask in list(1 << i for i in range(codec.consequence_length)) + [
@@ -161,13 +174,13 @@ class TestConsequenceIndex:
             0b101 & full,
             full >> 1,
         ]:
-            assert tree.search_by_consequence(mask) == (
-                descent_by_consequence(tree, mask)
+            assert hit_set(tree.search_by_consequence(mask)) == hit_set(
+                brute_by_consequence(codec, model.patterns_, mask)
             )
 
     def test_fqp_search_matches_descent(self, world):
         model, base = world
-        tree = model.tree_
+        tree = world_tree(model)
         codec = model.codec_
         predictor = model.predictor_
         t0 = 25 * 16
@@ -176,7 +189,9 @@ class TestConsequenceIndex:
             regions = predictor.map_recent_to_regions(recent)
             for offset in range(16):
                 qk = codec.encode_query(regions, offset)
-                assert tree.search_candidates(qk) == descent_candidates(tree, qk)
+                assert hit_set(tree.search_candidates(qk)) == hit_set(
+                    brute_candidates(codec, model.patterns_, qk)
+                )
 
     def test_index_invalidated_by_mutation(
         self, jane_region_set, jane_patterns
@@ -186,22 +201,26 @@ class TestConsequenceIndex:
         tree.bulk_load_patterns(jane_patterns[:2])
         full = (1 << codec.consequence_length) - 1
         before = tree.search_by_consequence(full)
-        assert before == descent_by_consequence(tree, full)
+        assert hit_set(before) == hit_set(
+            brute_by_consequence(codec, jane_patterns[:2], full)
+        )
         tree.insert_pattern(jane_patterns[2])
         tree.insert_pattern(jane_patterns[3])
         after = tree.search_by_consequence(full)
         assert len(after) == 4
-        assert after == descent_by_consequence(tree, full)
+        assert hit_set(after) == hit_set(
+            brute_by_consequence(codec, jane_patterns, full)
+        )
         tree.remove_pattern(jane_patterns[0])
-        assert tree.search_by_consequence(full) == (
-            descent_by_consequence(tree, full)
+        assert hit_set(tree.search_by_consequence(full)) == hit_set(
+            brute_by_consequence(codec, jane_patterns[1:], full)
         )
 
     def test_mask_validation(self, world):
-        model, _ = world
+        tree = world_tree(world[0])
         with pytest.raises(ValueError):
-            model.tree_.search_by_consequence(-1)
-        assert model.tree_.search_by_consequence(0) == []
+            tree.search_by_consequence(-1)
+        assert tree.search_by_consequence(0) == []
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +251,10 @@ class TestExpireRebuild:
         assert sorted(map(str, tree.all_patterns())) == sorted(map(str, survivors))
         assert len(tree) == len(survivors)
         tree.validate()
-        # The rebuilt tree still answers searches identically to descent.
+        # The rebuilt tree still answers searches like a brute-force scan.
         full = (1 << tree.codec.consequence_length) - 1
-        assert tree.search_by_consequence(full) == (
-            descent_by_consequence(tree, full)
+        assert hit_set(tree.search_by_consequence(full)) == hit_set(
+            brute_by_consequence(tree.codec, survivors, full)
         )
 
     def test_expire_everything(self, world):
@@ -549,11 +568,15 @@ class TestPathCounters:
 # heap ranking ties
 # ----------------------------------------------------------------------
 class TestRankingTies:
-    def test_tied_candidates_keep_tree_order(self, jane_region_set, jane_patterns):
+    def test_tied_candidates_keep_canonical_order(
+        self, jane_region_set, jane_patterns
+    ):
         from repro.core.patterns import TrajectoryPattern
 
         # Two patterns with identical premise, confidence and support —
-        # every rank key ties; the stable top-k must keep candidate order.
+        # every rank key ties, and so does the pattern key (same premise,
+        # same consequence offset): the consequence region id decides,
+        # whatever order the table lists them in.
         home = jane_patterns[0].premise[0]
         city = jane_patterns[0].consequence
         shopping = jane_patterns[1].consequence
@@ -562,22 +585,17 @@ class TestRankingTies:
             TrajectoryPattern((home,), shopping, support=5, confidence=0.7),
         ]
         codec = KeyCodec.from_patterns(jane_region_set, twins)
-        tree = TrajectoryPatternTree(codec, max_entries=4)
-        tree.bulk_load_patterns(twins)
         config = HPMConfig(
             period=3, eps=5.0, min_pts=2, distant_threshold=2, recent_window=3
         )
-        predictor = HybridPredictor(
-            regions=jane_region_set, codec=codec, tree=tree, config=config
-        )
         recent = [TimedPoint(30, 0.0, 0.0)]
-        results = predictor.forward_query(recent, 31, 2)
-        assert [p.score for p in results] == [0.7, 0.7]
-        # Order equals the candidate (tree traversal) order.
-        expected_order = [
-            pattern
-            for pattern, _ in descent_candidates(
-                tree, codec.encode_query([home], 1)
+        for table in (twins, twins[::-1]):
+            predictor = HybridPredictor(
+                regions=jane_region_set,
+                codec=codec,
+                kernel=ScoreKernel.from_patterns(jane_region_set, table, "linear"),
+                config=config,
             )
-        ]
-        assert [p.pattern for p in results] == expected_order
+            results = predictor.forward_query(recent, 31, 2)
+            assert [p.score for p in results] == [0.7, 0.7]
+            assert [p.pattern.consequence for p in results] == [city, shopping]

@@ -2,8 +2,8 @@
 
 The contract: a load — whole fleet or ring slice, direct or through a
 shard split and merge — yields models whose state AND prediction
-fingerprints are byte-identical to the fitted fleet, with the
-score-kernel cache already primed; a delta refit on a loaded model
+fingerprints are byte-identical to the fitted fleet, with each score
+kernel assembled from its stored cells; a delta refit on a loaded model
 stays byte-identical to a fit from scratch; and saving over a snapshot
 never changes a fleet already loaded from it.
 """
@@ -23,8 +23,7 @@ from repro.core.fingerprint import model_fingerprint, prediction_fingerprint
 from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
 from repro.core.persistence import load_fleet, save_fleet, snapshot_stat
-from repro.core.scorekernel import CandidatePack, ScoreKernel
-from repro.serve.shard.snapshot import merge_snapshot, shard_dir_name, split_snapshot
+from repro.core.scorekernel import ScoreKernel
 from repro.trajectory import TimedPoint, Trajectory
 
 PERIOD = 12
@@ -120,12 +119,16 @@ class TestRoundTripIdentity:
         assert fleet_fingerprints(mmapped) == fleet_fingerprints(materialized)
 
     def test_kernel_primed_on_load(self, fitted_fleet, snapshots):
-        kind = fitted_fleet.config.weight_function
+        """The loaded kernel is the fitted one: same rows, same cells."""
         fleet = load_fleet(snapshots / "v2")
         for oid in fleet.object_ids():
-            tree = fleet[oid].tree_
-            assert tree is not None
-            assert tree._score_kernels.get(kind) is not None
+            loaded = fleet[oid].kernel_.block
+            fitted = fitted_fleet[oid].kernel_.block
+            for field in ("bit_cols", "bit_weights", "confidences", "supports"):
+                assert np.array_equal(getattr(loaded, field), getattr(fitted, field))
+            assert [repr(p) for p in loaded.patterns] == [
+                repr(p) for p in fitted.patterns
+            ]
 
     def test_region_points_are_mmap_views(self, snapshots):
         fleet = load_fleet(snapshots / "v2")
@@ -137,24 +140,13 @@ class TestRoundTripIdentity:
         assert isinstance(base, np.memmap)
 
     def test_loaded_arrays_are_plain_readonly_mmap_views(self, snapshots):
-        """Loaded kernel and region arrays are plain ndarrays (no per-slice
-        ``np.memmap`` hooks) over a mapping, and stay read-only."""
+        """Loaded kernel cells and region arrays are plain ndarrays (no
+        per-slice ``np.memmap`` hooks) over a mapping, and stay read-only."""
         fleet = load_fleet(snapshots / "v2")
-        kind = fleet.config.weight_function
         for oid in fleet.object_ids():
             model = fleet[oid]
-            block = model.tree_._score_kernels[kind].block
-            arrays = [
-                getattr(block, field)
-                for field in (
-                    "seqs",
-                    "bit_cols",
-                    "bit_weights",
-                    "confidences",
-                    "supports",
-                    "cons_offsets",
-                )
-            ]
+            block = model.kernel_.block
+            arrays = [block.bit_cols, block.bit_weights]
             arrays += [region.points for region in model.regions_]
             for arr in arrays:
                 assert type(arr) is np.ndarray
@@ -163,9 +155,8 @@ class TestRoundTripIdentity:
 
     def test_loaded_kernel_block_views_mapped_cells(self, snapshots):
         fleet = load_fleet(snapshots / "v2")
-        kind = fleet.config.weight_function
         for oid in fleet.object_ids():
-            block = fleet[oid].tree_._score_kernels[kind].block
+            block = fleet[oid].kernel_.block
             for field, name in (
                 ("bit_cols", "kernel_cells_cols"),
                 ("bit_weights", "kernel_cells_weights"),
@@ -194,7 +185,7 @@ class TestRoundTripIdentity:
 
     def test_snapshot_stat(self, snapshots):
         stat = snapshot_stat(snapshots / "v2")
-        assert stat["format_version"] == 2
+        assert stat["format_version"] == 3
         assert stat["objects"] == 3
         assert stat["kernel_objects"] == 3
         assert stat["total_block_bytes"] > 0
@@ -219,7 +210,23 @@ class TestCorruptionPaths:
         manifest["objects"] = {"obj0": "object_0000.npz"}
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(
-            ValueError, match="unsupported fleet format 1; only format 2 loads"
+            ValueError, match="unsupported fleet format 1; only format 3 loads"
+        ):
+            load_fleet(dest)
+
+    def test_format_2_snapshot_rejected_by_name(self, snapshots, tmp_path):
+        """A format-2 directory (tree blocks and a tree-ordered kernel
+        table) is refused, naming its format, before any block is read."""
+        dest = self._copy(snapshots, tmp_path)
+        manifest_path = dest / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest["sig_bytes"] = 1
+        for name in ("tree_entry_sigs", "tree_node_sigs", "kernel_rows"):
+            manifest["blocks"][name] = [0, 1]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            ValueError, match="unsupported fleet format 2; only format 3 loads"
         ):
             load_fleet(dest)
 
@@ -244,51 +251,6 @@ class TestCorruptionPaths:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="does not match"):
             load_fleet(dest)
-
-
-# Options removed from HPMConfig that older snapshots still store.
-RETIRED_OPTIONS = dict(
-    query_backend="kernel",
-    velocity_filter=False,
-    velocity_bands=4,
-    velocity_slack=2.0,
-)
-
-
-def age_v2_snapshot(source, dest):
-    """A copy of a v2 snapshot laid out as older writers left it: the
-    retired config keys plus a ``kernel_minspeed`` block (one speed per
-    kernel row, listed right after ``kernel_conf`` in the manifest)."""
-    shutil.copytree(source, dest)
-    manifest_path = dest / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["config"].update(RETIRED_OPTIONS)
-    rows = manifest["blocks"]["kernel_rows"][0]
-    np.save(dest / "block_kernel_minspeed.npy", np.zeros(rows, dtype="<f8"))
-    blocks = {}
-    for name, shape in manifest["blocks"].items():
-        blocks[name] = shape
-        if name == "kernel_conf":
-            blocks["kernel_minspeed"] = [rows]
-    manifest["blocks"] = blocks
-    manifest_path.write_text(json.dumps(manifest, indent=2))
-
-
-class TestRetiredOptionSnapshots:
-    def test_load_split_merge_identical(self, fitted_fleet, snapshots, tmp_path):
-        aged = tmp_path / "aged"
-        age_v2_snapshot(snapshots / "v2", aged)
-        reference = fleet_fingerprints(fitted_fleet)
-        assert fleet_fingerprints(load_fleet(aged)) == reference
-
-        placement = split_snapshot(aged, tmp_path / "split", num_shards=2)
-        by_id = {entry[0]: entry for entry in reference}
-        for shard_id, object_ids in placement.items():
-            shard = load_fleet(tmp_path / "split" / shard_dir_name(shard_id))
-            assert fleet_fingerprints(shard) == [by_id[oid] for oid in object_ids]
-
-        merge_snapshot(tmp_path / "split", tmp_path / "merged")
-        assert fleet_fingerprints(load_fleet(tmp_path / "merged")) == reference
 
 
 class TestCopyOnWriteRefit:
@@ -321,83 +283,35 @@ class TestCopyOnWriteRefit:
         )
 
 
-ONE_WIDTH_EXPORT = ScoreKernel.export_buckets
-
-
-def trim_to_own_width(kernel):
-    """``ScoreKernel.export_buckets`` as writers before the one-width
-    block emitted it: each bucket at its own widest table."""
-    trimmed = []
-    for time_id, pack in ONE_WIDTH_EXPORT(kernel):
-        width = max(1, int((pack.bit_weights > 0).sum(axis=1).max()))
-        trimmed.append(
-            (
-                time_id,
-                CandidatePack(
-                    pack.seqs,
-                    pack.bit_cols[:, :width],
-                    pack.bit_weights[:, :width],
-                    pack.confidences,
-                    pack.supports,
-                    pack.cons_offsets,
-                    pack.patterns,
-                ),
+class TestKernelCells:
+    def test_stored_order_names_each_kernel_row(self, fitted_fleet, snapshots):
+        """``kernel_order`` maps every kernel row to its mining-order
+        pattern row, and rebuilding the kernel from the loaded table packs
+        the stored cells exactly."""
+        fleet = load_fleet(snapshots / "v2")
+        for oid in fleet.object_ids():
+            model = fleet[oid]
+            fresh = ScoreKernel.from_patterns(
+                model.regions_, model.patterns_, model.config.weight_function
             )
-        )
-    return trimmed
-
-
-class TestPerBucketWidthSnapshots:
-    """Snapshots whose kernel buckets each have their own table width
-    still load, padded into the one-width block."""
-
-    @pytest.fixture()
-    def per_bucket_snapshot(self, monkeypatch, tmp_path):
-        def save(fleet, directory):
-            with monkeypatch.context() as patch:
-                patch.setattr(ScoreKernel, "export_buckets", trim_to_own_width)
-                save_fleet(fleet, directory)
-            widths = np.load(directory / "block_kernel_buckets.npy")[:, 2]
-            assert len(set(widths.tolist())) > 1
-            return directory
-
-        return save
-
-    def test_loads_with_identical_fingerprints(
-        self, fitted_fleet, per_bucket_snapshot, tmp_path
-    ):
-        snapshot = per_bucket_snapshot(fitted_fleet, tmp_path / "snap")
-        loaded = load_fleet(snapshot)
-        assert fleet_fingerprints(loaded) == fleet_fingerprints(fitted_fleet)
-        kind = loaded.config.weight_function
-        for oid in loaded.object_ids():
-            kernel = loaded[oid].tree_._score_kernels[kind]
-            fresh = fitted_fleet[oid].tree_.score_kernel(kind)
-            assert kernel.block.width == fresh.block.width
-            assert np.array_equal(kernel.block.bit_cols, fresh.block.bit_cols)
+            assert np.array_equal(model.kernel_.block.bit_cols, fresh.block.bit_cols)
             assert np.array_equal(
-                kernel.block.bit_weights, fresh.block.bit_weights
+                model.kernel_.block.bit_weights, fresh.block.bit_weights
             )
-
-    def test_delta_refit_matches_scratch(self, per_bucket_snapshot, tmp_path):
-        config = make_config()
-        positions = make_route(12, seed=7)
-        prefix, tail = positions[: 9 * PERIOD], positions[9 * PERIOD :]
-        fleet = FleetPredictionModel(config)
-        fleet.fit({"obj": Trajectory(prefix.copy(), 0)})
-        snapshot = per_bucket_snapshot(fleet, tmp_path / "snap")
-
-        reloaded = load_fleet(snapshot)["obj"]
-        reloaded.update(tail, refit="delta")
-
-        oracle = HybridPredictionModel(config).fit(
-            Trajectory(positions.copy(), 0)
-        )
-        assert model_fingerprint(reloaded) == model_fingerprint(oracle)
-        q = queries(oracle)
-        assert prediction_fingerprint(reloaded, q) == prediction_fingerprint(
-            oracle, q
-        )
+            assert list(model.kernel_.block.patterns) == list(fresh.block.patterns)
+        manifest = json.loads((snapshots / "v2" / "manifest.json").read_text())
+        assert set(manifest["blocks"]) == {
+            "history",
+            "region_rows",
+            "region_geo",
+            "region_points",
+            "region_sub_ids",
+            "pattern_rows",
+            "pattern_conf",
+            "kernel_order",
+            "kernel_cells_cols",
+            "kernel_cells_weights",
+        }
 
 
 class TestResaveOverLoadedSnapshot:

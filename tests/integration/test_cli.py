@@ -216,11 +216,11 @@ class TestSnapshotTools:
         ) == 0
         return snapshot
 
-    def test_stat_reports_v2(self, fleet_snapshot, capsys):
+    def test_stat_reports_format_3(self, fleet_snapshot, capsys):
         import json
 
         assert main(["snapshot-stat", str(fleet_snapshot)]) == 0
         stat = json.loads(capsys.readouterr().out)
-        assert stat["format_version"] == 2
+        assert stat["format_version"] == 3
         assert stat["objects"] == 1
         assert stat["total_block_bytes"] > 0

@@ -40,7 +40,7 @@ class TestPipeline:
     def test_model_learns_regions_and_patterns(self, bike_model):
         assert len(bike_model.regions_) > 50
         assert bike_model.pattern_count > 100
-        bike_model.tree_.validate()
+        assert bike_model.kernel_.block.n == bike_model.pattern_count
 
     def test_near_queries_beat_rmf(self, bike, bike_model):
         workload = generate_queries(

@@ -25,7 +25,7 @@ from repro.serve import (
     run_loadgen,
 )
 
-from tests.serve.conftest import commuter_base, gate_execute
+from tests.serve.conftest import PERIOD, commuter_base, gate_execute
 
 
 def serve_test(fleet, config, scenario):
@@ -295,6 +295,42 @@ class TestIngest:
             assert len(fleet["default"].history_) == len(history) + len(fixes)
 
         serve_test(fleet, ServeConfig(update_after=10), scenario)
+
+    def test_full_refit_after_n_deltas_through_ingest(self, fleet, history):
+        """``refit_full_every=2``, applied at startup as ``repro serve
+        --refit-full-every 2`` does: two delta refits, then a full one,
+        then deltas again.  The model keeps the one staleness count."""
+        fleet.override_refit_policy(refit_full_every=2)
+        base = commuter_base()
+
+        async def scenario(service, server, client):
+            modes = []
+            for day in range(4):
+                t0 = len(history) + day * PERIOD
+                fixes = [
+                    [t0 + i, float(base[i][0]) + 1.0, float(base[i][1]) + 1.0]
+                    for i in range(PERIOD)
+                ]
+                status, _, _ = await client.request(
+                    "POST", "/ingest", {"object_id": "default", "fixes": fixes}
+                )
+                assert status == 200
+                await service.drain()
+                stats = fleet["default"].last_refit_stats_
+                modes.append((stats.mode, stats.fallback))
+            counters = service.metrics.snapshot()
+            return modes, counters["serve_refit_mode_total_full"]["value"]
+
+        modes, full_refits = serve_test(
+            fleet, ServeConfig(update_after=PERIOD), scenario
+        )
+        assert modes == [
+            ("delta", None),
+            ("delta", None),
+            ("full", "staleness"),
+            ("delta", None),
+        ]
+        assert full_refits == 1
 
     def test_out_of_order_fix_rejected(self, fleet, history):
         fixes = new_day_window(history, length=2)

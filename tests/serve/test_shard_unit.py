@@ -336,7 +336,7 @@ class TestShardSnapshots:
         shard0 = json.loads(
             (sharded / "shard_0000" / "manifest.json").read_text()
         )
-        assert shard0["format_version"] == 2
+        assert shard0["format_version"] == 3
 
         reference = {
             oid: model_fingerprint(multi_fleet[oid])

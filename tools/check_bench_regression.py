@@ -11,14 +11,17 @@ name (higher-is-better for ``speedup``/``goodput``/``throughput``/
 field that regressed beyond ``--tolerance`` (a fraction: 0.5 means a
 smoke speedup may be up to 50% below baseline before it counts).
 
-Boolean fields ending in ``identical``/``ok``/``passed`` must not flip
-from true to false regardless of tolerance.  A ``null`` on either side
+Boolean fields ending in ``identical``/``ok``/``passed``, or named
+``identical_*`` (``BENCH_refit``'s ``identical_state`` and
+``identical_predictions``), must not flip from true to false regardless
+of tolerance.  A ``null`` on either side
 is a ratio the bench declared not applicable (``BENCH_fleet_fit``'s
 speedup with fewer CPUs than workers) and is skipped.
 
-Default is **warn** mode (always exit 0, print findings) so CI noise
-never blocks a merge; ``--fail`` turns findings into a non-zero exit for
-local gating.
+Such a flip is a broken identity or gate, not noise: it always exits
+non-zero.  Timing and ratio findings only warn by default (exit 0), so
+CI noise never blocks a merge; ``--fail`` turns them into a non-zero
+exit too, for local gating.
 
     python tools/check_bench_regression.py BENCH_snapshot.json \
         --baseline path/to/committed/BENCH_snapshot.json --tolerance 0.5
@@ -43,6 +46,7 @@ LOWER_BETTER = (
     "p99",
 )
 MUST_HOLD = ("identical", "ok", "passed")
+FLIPPED = "flipped true -> false"
 
 
 def _flatten(value, prefix: str = "") -> dict[str, object]:
@@ -80,10 +84,10 @@ def compare(
         if c is None or b is None:
             continue  # not applicable on that host
         if isinstance(c, bool) or isinstance(b, bool):
-            name = field.lower()
-            if any(name.endswith(tag) for tag in MUST_HOLD):
+            leaf = field.lower().rsplit(".", 1)[-1]
+            if leaf.endswith(MUST_HOLD) or leaf.startswith("identical_"):
                 if bool(b) and not bool(c):
-                    findings.append(f"{field}: flipped true -> false")
+                    findings.append(f"{field}: {FLIPPED}")
             continue
         if not isinstance(c, (int, float)) or not isinstance(b, (int, float)):
             continue
@@ -143,10 +147,13 @@ def main(argv: list[str] | None = None) -> int:
             f"(tolerance {args.tolerance:.0%})"
         )
         return 0
-    label = "REGRESSION" if args.fail else "warning"
+    failed = args.fail
     for finding in findings:
+        flipped = finding.endswith(FLIPPED)
+        failed = failed or flipped
+        label = "REGRESSION" if args.fail or flipped else "warning"
         print(f"{label}: {current_path.name}: {finding}")
-    return 1 if args.fail else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
