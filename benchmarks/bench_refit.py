@@ -18,7 +18,12 @@ query grid checks end-to-end answers, full ties included.
 The committed report (BENCH_refit.json) records per-round refit latency
 percentiles (p50/p95/p99), sustained fixes/sec, and the delta-vs-full
 speedup over the late rounds, where the accumulated history makes the
-full re-mine most expensive.  Non-smoke runs fail if delta is not at
+full re-mine most expensive.  Each timed ``update`` starts from a
+collected heap and runs with the cyclic garbage collector off (it is
+re-enabled right after), for both engines: the scratch-fit oracle of
+every round leaves tens of thousands of dead pattern objects behind,
+and a full collection landing inside an arbitrary round would otherwise
+be timed as refit work.  Non-smoke runs fail if delta is not at
 least 3x faster than full at >= 10 accumulated rounds, or if any
 fingerprint diverges.
 """
@@ -26,6 +31,7 @@ fingerprint diverges.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -41,6 +47,9 @@ from repro.trajectory.trajectory import Trajectory
 # Speedup gate for non-smoke runs, measured over rounds >= GATE_AFTER.
 SPEEDUP_GATE = 3.0
 GATE_AFTER = 10
+
+#: how the cyclic collector is handled around each timed ``update``
+GC_POLICY = "gc.collect() before each timed update; collector disabled during it"
 
 
 def build_config(period: int) -> HPMConfig:
@@ -139,9 +148,14 @@ def main(argv=None) -> int:
         hi = lo + args.chunk
         chunk = positions[lo:hi]
         for mode, model in engines.items():
-            start = time.perf_counter()
-            model.update(chunk, refit=mode)
-            latencies[mode].append(time.perf_counter() - start)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                model.update(chunk, refit=mode)
+                latencies[mode].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
             stats = model.last_refit_stats_
             outcomes = index_outcomes[mode]
             outcomes[stats.index] = outcomes.get(stats.index, 0) + 1
@@ -189,6 +203,7 @@ def main(argv=None) -> int:
         "seed_subtrajectories": args.seed_subtrajectories,
         "rounds": args.rounds,
         "chunk": args.chunk,
+        "gc_policy": GC_POLICY,
         "delta": {
             **latency_summary(latencies["delta"]),
             "fixes_per_second": round(

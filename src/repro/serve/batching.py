@@ -1,11 +1,15 @@
 """Request batching: group-commit concurrent predict calls per key.
 
-Under load, many clients query the same object at once.  Executing each
-query as its own executor job pays the lock-acquire / thread-handoff
-cost per request and re-walks shared per-object state.  The batcher runs
-them as batches instead — one executor pass per batch, one lock
-acquisition, one model context — without ever holding a request back to
-wait for company (group commit, Nagle off):
+The serving layer answers a lone predict inline on the event loop and
+hands a predict to the batcher only when it cannot: its object's lock
+is held (a refit commit) or a batch for the object is already queued or
+running (:meth:`RequestBatcher.idle` tells the two apart).  Those
+requests pile up behind one another, and executing each as its own
+executor job would pay the lock-acquire / thread-handoff cost per
+request and re-walk shared per-object state.  The batcher runs them as
+batches instead — one executor pass per batch, one lock acquisition,
+one model context — without ever holding a request back to wait for
+company (group commit, Nagle off):
 
 * Each key has at most one executing batch.  A submit for an idle key
   starts a batch on the next event-loop iteration, so requests from the
@@ -101,6 +105,10 @@ class RequestBatcher:
             lane.queue.append({})
         future = lane.queue[-1][request] = loop.create_future()
         return await future
+
+    def idle(self, key: Hashable) -> bool:
+        """Whether ``key`` has no queued or executing batch."""
+        return key not in self._lanes
 
     async def drain(self) -> None:
         """Wait until no key has queued or executing work."""

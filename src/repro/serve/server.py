@@ -6,10 +6,14 @@ Two layers:
   owns the fleet, the per-object :class:`~repro.core.online.OnlineTracker`
   ingest state, the prediction cache, the request batcher, the
   admission controller, the refit scheduler, and the metrics registry.
-  Model passes are CPU work and run on the event loop's default
-  executor; all shared state is guarded by the fleet's per-object locks
-  (see the concurrency contract in :mod:`repro.core.fleet`), so the
-  loop stays responsive and correct.
+  All shared state is guarded by the fleet's per-object locks (see the
+  concurrency contract in :mod:`repro.core.fleet`).  A lone predict —
+  no batch running or queued for its object, and the object's lock
+  free on a non-blocking try — runs its model pass inline on
+  the event loop; otherwise the pass goes through the request batcher
+  to the loop's default executor, so the loop never waits on a lock a
+  refit holds.  ``serve_predict_path_total_{inline,executor}`` count
+  the two paths.
 * :class:`PredictionServer` — a minimal stdlib HTTP/1.1 front-end over
   ``asyncio.start_server`` (keep-alive, Content-Length framing; no
   chunked encoding, TLS, or HTTP/2 — put a real proxy in front for
@@ -25,6 +29,10 @@ deadline (request ``deadline_ms`` or ``ServeConfig.default_deadline_ms``)
 enforced across the batch wait and executor hop; on deadline expiry the
 service degrades instead of hanging: a stale cache entry (response
 marked ``"degraded": true``) → a motion-function-only prediction → 503.
+An inline pass is not cut off: a deadline already expired on arrival
+degrades before it, but one that expires during the pass does not stop
+it.  Nor is an executor pass: the timeout abandons the wait, and the
+pass runs to completion.
 Background refits run under :class:`~repro.serve.refit.RefitScheduler`
 (bounded concurrency, coalescing, backoff retry, dead-lettering) and
 yield to foreground traffic during shedding.  With
@@ -204,6 +212,11 @@ class PredictionService:
             max_batch=self.config.max_batch,
             metrics=self.metrics,
         )
+        for path in ("inline", "executor"):
+            self.metrics.counter(
+                f"serve_predict_path_total_{path}",
+                help=f"model passes run on the {path} path",
+            )
         self.admission = AdmissionController(
             {
                 "predict": self.config.max_inflight_predict,
@@ -283,9 +296,10 @@ class PredictionService:
 
         Returns ``(predictions, cached, degraded)``.  ``deadline_ms``
         overrides ``ServeConfig.default_deadline_ms``; when the deadline
-        expires before the model pass completes, the answer walks the
-        degradation ladder (stale cache → motion-only → 503) instead of
-        blocking forever.
+        expires before an executor pass completes (or before the request
+        arrives here), the answer walks the degradation ladder (stale
+        cache → motion-only → 503) instead of blocking forever.  A pass
+        that runs inline is never cut off.
         """
         if object_id not in self.fleet:
             raise ApiError(404, f"unknown object {object_id!r}")
@@ -337,7 +351,15 @@ class PredictionService:
         return predictions, False, False
 
     async def _predict_within(self, object_id, request, deadline):
-        """One model pass, honouring ``deadline`` (monotonic seconds)."""
+        """One model pass, honouring ``deadline`` (monotonic seconds).
+
+        A lone predict — no batch running or queued for the object, and
+        its lock free on a non-blocking try — runs its pass right here on
+        the event loop: no executor hop and no task wrappers, the answer
+        the batcher would give.  Anything else (a refit commit or another
+        thread holds the lock, or a batch is in flight) goes through the
+        :class:`RequestBatcher` and its deadline-bounded wait.
+        """
         remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
@@ -345,6 +367,16 @@ class PredictionService:
                 # Pre-expired (e.g. overload delayed admission): degrade
                 # without queueing more work behind the congestion.
                 raise asyncio.TimeoutError
+        if self.batcher.idle(object_id):
+            lock = self.fleet.object_lock(object_id)
+            if lock.acquire(blocking=False):
+                try:
+                    (predictions,) = self._execute_batch(object_id, [request])
+                finally:
+                    lock.release()
+                self.metrics.counter("serve_predict_path_total_inline").inc()
+                return predictions
+        self.metrics.counter("serve_predict_path_total_executor").inc()
         # Shield the shared batch future: a deadline on *this* waiter
         # must not cancel the result out from under coalesced twins.
         shared = asyncio.shield(self.batcher.submit(object_id, request))
@@ -387,7 +419,10 @@ class PredictionService:
         )
 
     def _execute_batch(self, object_id: str, requests):
-        """One model pass for a whole batch (runs on the executor).
+        """One model pass for a whole batch.
+
+        Runs on the executor for a batch, or inline on the event loop for
+        a lone request that found the object's lock free.
 
         Requests that share a recent window — the common case when a hot
         object is probed at many query times — share one prepared query
@@ -702,7 +737,7 @@ class PredictionServer:
                 serve_task, stop_task, return_exceptions=True
             )
             for sig in installed:
-                with suppress(Exception):
+                with suppress(NotImplementedError, RuntimeError, ValueError):
                     loop.remove_signal_handler(sig)
             self._stop_event = None
             if stopped:
@@ -828,7 +863,7 @@ class PredictionServer:
                 self._handlers.discard(task)
             self._connections.discard(writer)
             writer.close()
-            with suppress(Exception):
+            with suppress(OSError):
                 await writer.wait_closed()
 
     async def _dispatch(

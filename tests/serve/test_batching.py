@@ -328,3 +328,25 @@ class TestGroupCommit:
             return executed, await asyncio.gather(first, second)
 
         assert run(scenario()) == (2, ["obj:r1", "obj:r2"])
+
+    def test_idle_until_every_queued_and_running_batch_is_done(self):
+        recorder = GatedRecorder()
+
+        async def scenario():
+            batcher = RequestBatcher(recorder, max_batch=10)
+            seen = [batcher.idle("obj")]
+            first = asyncio.ensure_future(batcher.submit("obj", "r1"))
+            await turns(1)
+            seen.append(batcher.idle("obj"))  # queued, not yet running
+            await wait_started(recorder)
+            second = asyncio.ensure_future(batcher.submit("obj", "r2"))
+            await turns()
+            seen.append(batcher.idle("obj"))  # running, one batch queued
+            seen.append(batcher.idle("other"))
+            recorder.release.set()
+            await asyncio.gather(first, second)
+            await batcher.drain()
+            seen.append(batcher.idle("obj"))
+            return seen
+
+        assert run(scenario()) == [True, False, False, True, True]

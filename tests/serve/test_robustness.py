@@ -31,7 +31,13 @@ from repro.serve import (
 )
 from repro.serve.chaos import ChaosError
 
-from tests.serve.conftest import commuter_base, gate_execute
+from tests.serve.conftest import (
+    LockHolder,
+    commuter_base,
+    gate_execute,
+    start_gated_batch,
+    wait_submitted,
+)
 
 
 # ----------------------------------------------------------------------
@@ -501,22 +507,26 @@ class TestHttpAdmission:
         payload = predict_payload(history)
 
         async def scenario(service, server, client):
-            slow_execute(service, 0.15)
+            # A refit stand-in holds the object lock, so the first predict
+            # waits on the executor and keeps the only slot.
+            holder = LockHolder(service)
             other = HttpClient("127.0.0.1", server.port)
             try:
                 first = asyncio.create_task(
                     client.request("POST", "/predict", payload)
                 )
-                await asyncio.sleep(0.05)  # first holds the only slot
+                await wait_submitted(service, 1)  # first holds the only slot
                 status, headers, body = await other.request(
                     "POST", "/predict", payload
                 )
                 assert status == 503
                 assert headers["retry-after"] == "1"
                 assert "queue full" in json.loads(body)["error"]
+                holder.release()
                 status_first, _, _ = await first
                 assert status_first == 200
             finally:
+                holder.release()
                 await other.close()
             snapshot = service.metrics.snapshot()
             assert snapshot["serve_shed_total"]["value"] == 1
@@ -734,12 +744,16 @@ class TestDeadlineDegradation:
                 "POST", "/predict", payload
             )
             assert status == 200
-            # Let the entry expire, then make the model pass too slow.
+            # Let the entry expire, then hold the object lock (a refit
+            # commit stand-in) past the deadline of the next pass.
             service.cache.clock = lambda: time.monotonic() + 3600.0
-            slow_execute(service, 0.3)
-            status, headers, body = await client.request(
-                "POST", "/predict", dict(payload, deadline_ms=60)
-            )
+            holder = LockHolder(service)
+            try:
+                status, headers, body = await client.request(
+                    "POST", "/predict", dict(payload, deadline_ms=60)
+                )
+            finally:
+                holder.release()
             assert status == 200
             assert headers["x-degraded"] == "true"
             assert headers["x-cache"] == "stale"
@@ -757,10 +771,21 @@ class TestDeadlineDegradation:
         payload = predict_payload(history)
 
         async def scenario(service, server, client):
-            slow_execute(service, 0.3)
-            status, headers, body = await client.request(
-                "POST", "/predict", dict(payload, deadline_ms=60)
+            # A gated batch keeps the object busy with the lock free, so
+            # the predict queues behind it and falls to the motion rung.
+            blocker, release = await start_gated_batch(
+                service,
+                "default",
+                [tuple(f) for f in payload["recent"]],
+                payload["query_time"] + 1,
             )
+            try:
+                status, headers, body = await client.request(
+                    "POST", "/predict", dict(payload, deadline_ms=60)
+                )
+            finally:
+                release.set()
+            await blocker
             assert status == 200
             assert headers["x-degraded"] == "true"
             assert headers["x-cache"] == "miss"
@@ -810,13 +835,16 @@ class TestDeadlineDegradation:
         batch future out from under an identical coalesced request.
 
         A gated pass keeps the object's batch running; the patient and
-        hasty twins then share the queued batch behind it.
+        hasty twins then share the queued batch behind it.  The blocker
+        reaches the executor because a refit stand-in holds the object
+        lock when it arrives, and lets go once the pass has started.
         """
         payload = predict_payload(history)
         blocker_payload = dict(payload, query_time=payload["query_time"] + 1)
 
         async def scenario(service, server, client):
             started, release = gate_execute(service)
+            holder = LockHolder(service)
             loop = asyncio.get_running_loop()
             clients = [HttpClient("127.0.0.1", server.port) for _ in range(2)]
             try:
@@ -824,6 +852,7 @@ class TestDeadlineDegradation:
                     client.request("POST", "/predict", blocker_payload)
                 )
                 assert await loop.run_in_executor(None, started.wait, 10.0)
+                holder.release()
                 patient = asyncio.create_task(
                     clients[0].request("POST", "/predict", payload)
                 )
@@ -842,6 +871,7 @@ class TestDeadlineDegradation:
                 status_patient, headers_patient, _ = await patient
                 status_blocker, _, _ = await blocker
             finally:
+                holder.release()
                 release.set()
                 for other in clients:
                     await other.close()

@@ -10,6 +10,7 @@ all.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -25,7 +26,13 @@ from repro.serve import (
     run_loadgen,
 )
 
-from tests.serve.conftest import PERIOD, commuter_base, gate_execute
+from tests.serve.conftest import (
+    PERIOD,
+    LockHolder,
+    commuter_base,
+    gate_execute,
+    wait_submitted,
+)
 
 
 def serve_test(fleet, config, scenario):
@@ -169,11 +176,17 @@ class TestPredict:
         async def scenario():
             service = PredictionService(fleet, ServeConfig())
             started, release = gate_execute(service)
+            # A refit stand-in holds the lock, so the pass goes to the
+            # executor; it lets go once the pass has started.
+            holder = LockHolder(service)
             pending = asyncio.ensure_future(
                 service.predict("default", recent, query_time)
             )
             loop = asyncio.get_running_loop()
-            assert await loop.run_in_executor(None, started.wait, 10.0)
+            try:
+                assert await loop.run_in_executor(None, started.wait, 10.0)
+            finally:
+                holder.release()
             # What a refit does once it has committed its new corpus.
             service.cache.invalidate("default")
             release.set()
@@ -221,6 +234,114 @@ class TestPredict:
             status, body = serve_test(fleet, config, scenario)
             assert 400 <= status < 500, body
             assert "error" in body
+
+
+class TestPredictPath:
+    """Where a model pass runs: inline on the loop, or on the executor."""
+
+    @staticmethod
+    def path_counts(service):
+        snapshot = service.metrics.snapshot()
+        return tuple(
+            snapshot[f"serve_predict_path_total_{path}"]["value"]
+            for path in ("inline", "executor")
+        )
+
+    @staticmethod
+    def direct_body(fleet, recent, query_time):
+        from repro.trajectory.point import TimedPoint
+
+        window = [TimedPoint(t, x, y) for t, x, y in recent]
+        direct = fleet["default"].predict(window, query_time)
+        return render_predict_body("default", query_time, direct)
+
+    def test_path_counters_are_always_exported(self, fleet):
+        async def scenario(service, server, client):
+            _, _, body = await client.request("GET", "/metrics")
+            return body.decode("utf-8")
+
+        text = serve_test(fleet, ServeConfig(), scenario)
+        assert "serve_predict_path_total_inline 0" in text
+        assert "serve_predict_path_total_executor 0" in text
+
+    def test_lone_predict_runs_inline_on_the_loop_thread(self, fleet, history):
+        recent = new_day_window(history)
+        query_time = recent[-1][0] + 3
+
+        async def scenario():
+            service = PredictionService(fleet, ServeConfig(enable_cache=False))
+            execute = service._execute_batch
+            threads = []
+
+            def recording(object_id, requests):
+                threads.append(threading.get_ident())
+                return execute(object_id, requests)
+
+            service._execute_batch = recording
+            service.batcher.execute = recording
+            predictions, cached, degraded = await service.predict(
+                "default", recent, query_time
+            )
+            await service.drain()
+            return service, threads, threading.get_ident(), predictions
+
+        service, threads, loop_thread, predictions = asyncio.run(scenario())
+        assert threads == [loop_thread]
+        assert self.path_counts(service) == (1, 0)
+        assert service.batcher.submitted == 0
+        assert render_predict_body(
+            "default", query_time, predictions
+        ) == self.direct_body(fleet, recent, query_time)
+
+    def test_lock_held_falls_back_to_executor_with_identical_answer(
+        self, fleet, history
+    ):
+        recent = new_day_window(history)
+        query_time = recent[-1][0] + 3
+        payload = {
+            "object_id": "default",
+            "recent": [list(f) for f in recent],
+            "query_time": query_time,
+        }
+
+        async def scenario(service, server, client):
+            holder = LockHolder(service)
+            try:
+                pending = asyncio.create_task(
+                    client.request("POST", "/predict", payload)
+                )
+                await wait_submitted(service, 1)
+                assert not pending.done()
+                assert self.path_counts(service) == (0, 1)
+            finally:
+                holder.release()
+            status, headers, body = await pending
+            assert status == 200
+            assert "x-degraded" not in headers
+            return body
+
+        body = serve_test(fleet, ServeConfig(enable_cache=False), scenario)
+        assert body == self.direct_body(fleet, recent, query_time)
+
+    def test_pre_expired_deadline_degrades_to_motion(self, fleet, history):
+        recent = new_day_window(history)
+        query_time = recent[-1][0] + 3
+
+        async def scenario():
+            service = PredictionService(fleet, ServeConfig(enable_cache=False))
+            answer = await service.predict(
+                "default", recent, query_time, deadline_ms=0.0
+            )
+            return service, answer
+
+        service, (predictions, cached, degraded) = asyncio.run(scenario())
+        assert degraded is True and cached is False
+        assert [p.method for p in predictions] == ["motion"]
+        assert self.path_counts(service) == (0, 0)
+        assert service.batcher.submitted == 0
+        snapshot = service.metrics.snapshot()
+        assert snapshot["serve_deadline_timeouts_total"]["value"] == 1
+        assert snapshot["serve_degraded_total_motion"]["value"] == 1
 
 
 class TestIngest:
