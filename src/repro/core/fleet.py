@@ -546,11 +546,8 @@ class FleetPredictionModel:
     def prewarm_locate_cache(self, limit: int = 512) -> int:
         """Prime every object's region-locate memo from its history tail.
 
-        The serve paths call this on a freshly loaded fleet — a snapshot
-        restore and a shard worker alike — so no object answers its first
-        queries cold (see
-        :meth:`HybridPredictionModel.prewarm_locate_cache`).  Returns the
-        total number of probes issued.
+        See :meth:`HybridPredictionModel.prewarm_locate_cache`; the serve
+        paths do not call it.  Returns the total number of probes issued.
         """
         with self._registry_lock:
             models = list(self._models.values())

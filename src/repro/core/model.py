@@ -638,12 +638,12 @@ class HybridPredictionModel:
 
         ``RegionSet.locate``'s LRU is dropped on pickle, so a model
         restored from a snapshot starts cold and its first queries pay
-        block scans.  Query windows are cut from the tail of
-        the same history this model was fitted (or last updated) on, so
-        replaying the last ``limit`` samples — row ``i`` carries offset
-        ``(start_time + i) mod T`` — re-creates exactly the cache keys
-        those windows will look up.  Returns the number of probes issued;
-        0 when the model has no regions.
+        block scans.  This replays the last ``limit`` history samples —
+        row ``i`` carries offset ``(start_time + i) mod T`` — so windows
+        cut from the history tail hit the memo.  Serving restores do not
+        call it: held-out query windows were measured to hit none of
+        those keys.  Returns the number of probes issued; 0 when the
+        model has no regions.
         """
         self._require_fitted()
         regions = self._regions

@@ -50,12 +50,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryPattern:
     """One mined rule ``premise --confidence--> consequence``.
 
     ``premise`` is ordered by time offset; ``support`` counts the
     sub-trajectories containing premise and consequence together.
+
+    Records are slotted: a model holds tens of thousands of them, and a
+    per-record ``__dict__`` would more than double their memory.
     """
 
     premise: tuple[FrequentRegion, ...]
@@ -96,12 +99,21 @@ class TrajectoryPattern:
         only pairs them with later consequences); public constructions go
         through the validating ``__init__``.
         """
-        self = object.__new__(cls)
-        self.__dict__["premise"] = premise
-        self.__dict__["consequence"] = consequence
-        self.__dict__["support"] = support
-        self.__dict__["confidence"] = confidence
+        self = _new(cls)
+        _set_premise(self, premise)
+        _set_consequence(self, consequence)
+        _set_support(self, support)
+        _set_confidence(self, confidence)
         return self
+
+    def __reduce__(self):
+        # Pickle as the four fields, restored through ``_unchecked``: the
+        # record was valid when pickled, and this avoids the per-field
+        # ``object.__setattr__`` of the dataclass slot pickling.
+        return (
+            _unpickle_pattern,
+            (self.premise, self.consequence, self.support, self.confidence),
+        )
 
     @property
     def premise_offsets(self) -> tuple[int, ...]:
@@ -116,6 +128,20 @@ class TrajectoryPattern:
     def __str__(self) -> str:
         prem = " ∧ ".join(r.label for r in self.premise)
         return f"{prem} --{self.confidence:.2f}--> {self.consequence.label}"
+
+
+# ``_unchecked`` writes the slots through their descriptors, bound once:
+# a frozen record refuses ``setattr``, and ``object.__setattr__`` would
+# look each field name up again on every write.
+_new = object.__new__
+_set_premise = TrajectoryPattern.premise.__set__
+_set_consequence = TrajectoryPattern.consequence.__set__
+_set_support = TrajectoryPattern.support.__set__
+_set_confidence = TrajectoryPattern.confidence.__set__
+
+
+def _unpickle_pattern(premise, consequence, support, confidence):
+    return TrajectoryPattern._unchecked(premise, consequence, support, confidence)
 
 
 @dataclass(frozen=True)

@@ -477,12 +477,7 @@ def _restore_object(
     ]
     unchecked = TrajectoryPattern._unchecked
     patterns = [
-        unchecked(
-            premise=premises[pi],
-            consequence=regions_list[cid],
-            support=support,
-            confidence=confidence,
-        )
+        unchecked(premises[pi], regions_list[cid], support, confidence)
         for pi, cid, support, confidence in zip(
             inverse.tolist(),
             rows[:, premise_width].tolist(),

@@ -86,9 +86,9 @@ def regions_from_arrays(
     return regions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequentRegion:
-    """One dense cluster of an offset group.
+    """One dense cluster of an offset group (a slotted record).
 
     Attributes
     ----------
@@ -136,6 +136,19 @@ class FrequentRegion:
         if not isinstance(other, FrequentRegion):
             return NotImplemented
         return self.offset == other.offset and self.index == other.index
+
+    def __reduce__(self):
+        return (
+            FrequentRegion,
+            (
+                self.offset,
+                self.index,
+                self.center,
+                self.points,
+                self.bbox,
+                self.subtrajectory_ids,
+            ),
+        )
 
 
 class RegionSet:
@@ -297,12 +310,11 @@ class RegionSet:
 
         The memo is derived state and deliberately dropped on pickle
         (:meth:`__getstate__`), so a freshly restored snapshot answers its
-        first queries through block scans.  Warm-up paths
-        (``FleetPredictionModel.prewarm_locate_cache``, run by snapshot
-        restores and shard workers) replay the history tail
-        through this so the steady-state working set — recent windows are
-        cut from exactly those rows — is hot before traffic arrives.
-        Returns the number of probes issued.
+        first queries through block scans.
+        ``FleetPredictionModel.prewarm_locate_cache`` replays the history
+        tail through this; snapshot restores and shard workers do not
+        call it, because those keys were measured to give no memo hits
+        on held-out queries.  Returns the number of probes issued.
         """
         count = 0
         for x, y, offset in samples:

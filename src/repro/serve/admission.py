@@ -36,6 +36,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
+from .metrics import Gauge, InstrumentMemo
+
 __all__ = [
     "AdmissionDecision",
     "AdmissionController",
@@ -158,7 +160,13 @@ class AdmissionController:
         self.max_clients = max_clients
         self.clock = clock
         self.metrics = metrics
+        self._instruments = (
+            InstrumentMemo(metrics) if metrics is not None else None
+        )
+        # Per-class depth gauges, made on the first depth change.
+        self._depth_gauges: dict[str, Gauge] = {}
         self.inflight: dict[str, int] = {name: 0 for name in REQUEST_CLASSES}
+        self._depth = 0
         self.shedding = False
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self.shed = 0
@@ -213,8 +221,9 @@ class AdmissionController:
                 )
 
         self.inflight[request_class] += 1
+        self._depth += 1
         self.admitted += 1
-        self._gauge_depth()
+        self._gauge_depth(request_class)
         return _ADMIT
 
     def release(self, request_class: str) -> None:
@@ -223,17 +232,18 @@ class AdmissionController:
         if count <= 0:
             raise RuntimeError(f"release without acquire for {request_class!r}")
         self.inflight[request_class] = count - 1
+        self._depth -= 1
         if (
             self.shedding
             and self.high_watermark
-            and self.depth() <= self.low_watermark
+            and self._depth <= self.low_watermark
         ):
             self.shedding = False
-        self._gauge_depth()
+        self._gauge_depth(request_class)
 
     def depth(self) -> int:
         """Total in-flight requests across every class."""
-        return sum(self.inflight.values())
+        return self._depth
 
     def stats(self) -> dict[str, float]:
         return {
@@ -269,16 +279,29 @@ class AdmissionController:
         )
 
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+        if self._instruments is not None:
+            self._instruments.counter(name).inc()
 
-    def _gauge_depth(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "serve_queue_depth", help="in-flight requests, all classes"
-            ).set(self.depth())
+    def _gauge_depth(self, request_class: str) -> None:
+        """Publish the total depth and ``request_class``'s in-flight count.
+
+        Only the class that changed is set.  Every class's gauge is made
+        on the first call, and a class that appears later gets its gauge
+        on the next call, so each always reads its class's count.
+        """
+        instruments = self._instruments
+        if instruments is None:
+            return
+        gauges = self._depth_gauges
+        if len(gauges) != len(self.inflight):
             for name, count in self.inflight.items():
-                self.metrics.gauge(f"serve_queue_depth_{name}").set(count)
+                if name not in gauges:
+                    gauges[name] = instruments.gauge(f"serve_queue_depth_{name}")
+                    gauges[name].set(count)
+        instruments.gauge(
+            "serve_queue_depth", help="in-flight requests, all classes"
+        ).set(self._depth)
+        gauges[request_class].set(self.inflight[request_class])
 
     def __repr__(self) -> str:
         return (

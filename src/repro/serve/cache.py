@@ -26,6 +26,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Hashable, Sequence
 
 from ..trajectory.point import TimedPoint
+from .metrics import InstrumentMemo
 
 __all__ = ["PredictionCache"]
 
@@ -68,6 +69,9 @@ class PredictionCache:
         self.quantum = quantum
         self.clock = clock
         self.metrics = metrics
+        self._instruments = (
+            InstrumentMemo(metrics) if metrics is not None else None
+        )
         self._entries: OrderedDict[tuple, tuple[float, Any]] = OrderedDict()
         self._by_object: dict[str, set[tuple]] = {}
         self._generations: dict[str, int] = {}
@@ -233,12 +237,14 @@ class PredictionCache:
                 del self._by_object[key[0]]
 
     def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+        if self._instruments is not None:
+            self._instruments.counter(name).inc(amount)
 
     def _gauge_size(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("serve_cache_entries").set(len(self._entries))
+        if self._instruments is not None:
+            self._instruments.gauge("serve_cache_entries").set(
+                len(self._entries)
+            )
 
     def __repr__(self) -> str:
         return (

@@ -22,6 +22,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "InstrumentMemo",
     "MetricsRegistry",
     "merge_dumps",
     "DEFAULT_LATENCY_BUCKETS",
@@ -271,17 +272,21 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get_or_create(self, cls, name: str, **kwargs):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = cls(name, **kwargs)
-                self._instruments[name] = instrument
-            elif not isinstance(instrument, cls):
-                raise TypeError(
-                    f"metric {name!r} is a {type(instrument).__name__}, "
-                    f"not a {cls.__name__}"
-                )
-            return instrument
+        # Names are never removed, so an existing one is read without the
+        # lock (a dict read is atomic); only a creation takes it.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = cls(name, **kwargs)
+                    self._instruments[name] = instrument
+        if not isinstance(instrument, cls):
+            raise TypeError(
+                f"metric {name!r} is a {type(instrument).__name__}, "
+                f"not a {cls.__name__}"
+            )
+        return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help=help)
@@ -412,6 +417,45 @@ class MetricsRegistry:
                         f'{name}_quantile{{q="{key}"}} {_fmt(value)}'
                     )
         return "\n".join(lines) + "\n"
+
+
+class InstrumentMemo:
+    """One registry's instruments, each memoised by name on first use.
+
+    A hot path that asks for the same names on every request holds one
+    of these instead of asking the registry each time.  A name still
+    enters the registry only when it is first asked for, so what
+    ``/metrics`` lists is the same as with direct registry calls.
+    """
+
+    __slots__ = ("registry", "_counters", "_gauges", "_histograms")
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+        self._counters: dict[str, Counter] = {}
+        self._gauges: dict[str, Gauge] = {}
+        self._histograms: dict[str, Histogram] = {}
+
+    def counter(self, name: str) -> Counter:
+        try:
+            return self._counters[name]
+        except KeyError:
+            instrument = self._counters[name] = self.registry.counter(name)
+            return instrument
+
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        try:
+            return self._gauges[name]
+        except KeyError:
+            instrument = self._gauges[name] = self.registry.gauge(name, help)
+            return instrument
+
+    def histogram(self, name: str) -> Histogram:
+        try:
+            return self._histograms[name]
+        except KeyError:
+            instrument = self._histograms[name] = self.registry.histogram(name)
+            return instrument
 
 
 def merge_dumps(dumps: Sequence[dict]) -> MetricsRegistry:

@@ -170,6 +170,9 @@ class ShardForwarder:
         self.queue = queue or ForwardQueue()
         self.concurrency = concurrency
         self.metrics = metrics
+        # name -> (fleet-wide counter, this shard's counter), made on first use
+        self._counters: dict[str, tuple] = {}
+        self._forward_seconds = None
         self._pumps: list[asyncio.Task] = []
         self._stopped = False
 
@@ -224,9 +227,11 @@ class ShardForwarder:
             self._count("router_forward_timeout_total")
             raise
         if self.metrics is not None:
-            self.metrics.histogram("router_forward_seconds").observe(
-                time.perf_counter() - started
-            )
+            if self._forward_seconds is None:
+                self._forward_seconds = self.metrics.histogram(
+                    "router_forward_seconds"
+                )
+            self._forward_seconds.observe(time.perf_counter() - started)
         return result
 
     async def _pump(self) -> None:
@@ -281,6 +286,13 @@ class ShardForwarder:
         self._pumps.clear()
 
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-            self.metrics.counter(f"{name}_shard_{self.shard_id}").inc()
+        if self.metrics is None:
+            return
+        counters = self._counters.get(name)
+        if counters is None:
+            counters = self._counters[name] = (
+                self.metrics.counter(name),
+                self.metrics.counter(f"{name}_shard_{self.shard_id}"),
+            )
+        for counter in counters:
+            counter.inc()

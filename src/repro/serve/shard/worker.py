@@ -104,6 +104,9 @@ async def run_worker(
     ``refit_policy`` (``refit_mode``/``refit_full_every``) is applied to
     the loaded models with
     :meth:`~repro.core.fleet.FleetPredictionModel.override_refit_policy`.
+    Like :meth:`PredictionService.from_snapshot`, the worker reports
+    ready with empty region-locate memos: warming them from the history
+    tail was measured to give no memo hits.
     """
     fleet = load_shard_fleet(
         snapshot,
@@ -114,8 +117,6 @@ async def run_worker(
         max_workers=max_workers,
     )
     fleet.override_refit_policy(**(refit_policy or {}))
-    # The same warm-up as ``PredictionService.from_snapshot``.
-    fleet.prewarm_locate_cache()
     service = PredictionService(fleet, config or ServeConfig())
     service.metrics.gauge(
         "serve_shard_id", help="which shard this worker serves"

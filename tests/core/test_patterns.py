@@ -1,5 +1,8 @@
 """Tests for trajectory-pattern mining."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,33 @@ class TestTrajectoryPattern:
         assert p2.premise_offsets == (0, 1)
         assert p2.consequence_offset == 2
         assert str(p2) == "R_0^0 ∧ R_1^0 --0.50--> R_2^0"
+
+    def test_records_are_slotted_and_frozen(self, jane_patterns):
+        pattern = jane_patterns[2]
+        assert not hasattr(pattern, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pattern.support = 7
+        unchecked = TrajectoryPattern._unchecked(
+            pattern.premise, pattern.consequence, pattern.support,
+            pattern.confidence,
+        )
+        assert not hasattr(unchecked, "__dict__")
+        assert unchecked == pattern
+        assert hash(unchecked) == hash(pattern)
+
+    def test_pickle_round_trip_keeps_equality_hash_and_sharing(
+        self, jane_patterns
+    ):
+        clones = pickle.loads(pickle.dumps(jane_patterns))
+        assert clones == jane_patterns
+        assert [hash(p) for p in clones] == [hash(p) for p in jane_patterns]
+        assert [str(p) for p in clones] == [str(p) for p in jane_patterns]
+        assert [(p.support, p.confidence) for p in clones] == [
+            (p.support, p.confidence) for p in jane_patterns
+        ]
+        # A region shared by several premises is still one record.
+        assert all(p.premise[0] is clones[0].premise[0] for p in clones)
+        assert clones[2].premise[1] is clones[0].consequence
 
 
 class TestTransactions:

@@ -245,6 +245,18 @@ class TestLocateExactness:
         with pytest.raises(ValueError, match="member point"):
             RegionSet([empty], period=1, eps=1.0)
 
+    def test_region_records_are_slotted_and_pickle(self, jane_regions):
+        region = jane_regions["city"]
+        assert not hasattr(region, "__dict__")
+        clone = pickle.loads(pickle.dumps(region))
+        assert clone == region
+        assert hash(clone) == hash(region)
+        assert (clone.offset, clone.index) == (region.offset, region.index)
+        assert clone.center == region.center
+        assert clone.bbox == region.bbox
+        assert clone.subtrajectory_ids == region.subtrajectory_ids
+        np.testing.assert_array_equal(clone.points, region.points)
+
     def test_pickle_round_trip(self, jane_region_set):
         clone = pickle.loads(pickle.dumps(jane_region_set))
         assert [r.label for r in clone] == [r.label for r in jane_region_set]

@@ -390,7 +390,7 @@ class TestCrossObjectBatching:
 
 
 # ----------------------------------------------------------------------
-# locate-cache prewarm (cold-start satellite)
+# locate-cache prewarm: a library method; serving restores start cold
 # ----------------------------------------------------------------------
 def count_uncached_locates(model, window) -> int:
     regions = model._regions
@@ -436,21 +436,58 @@ class TestLocatePrewarm:
         assert cold.prewarm_locate_cache(0) == 0
         assert len(cold._regions._locate_cache) == 0
 
-    def test_from_snapshot_prewarms_every_object(self, fleet_world, tmp_path):
+    def test_from_snapshot_starts_with_empty_memos_and_answers_like_the_fleet(
+        self, fleet_world, tmp_path
+    ):
+        """A restored service does not warm its locate memos, and serves
+        the in-process fleet's answers byte for byte."""
+        import asyncio
+
         from repro.core.persistence import save_fleet
         from repro.serve import PredictionService
+        from repro.serve.handlers import encode_json, render_predict_body, route
 
-        kernel_fleet, _recents = fleet_world
+        kernel_fleet, recents = fleet_world
         snapshot = tmp_path / "snapshot"
         save_fleet(kernel_fleet, snapshot)
 
         service = PredictionService.from_snapshot(snapshot)
         for oid in service.fleet.object_ids():
-            assert len(service.fleet[oid]._regions._locate_cache) > 0
+            assert len(service.fleet[oid]._regions._locate_cache) == 0
 
-        cold = PredictionService.from_snapshot(snapshot, prewarm_locate=0)
-        for oid in cold.fleet.object_ids():
-            assert len(cold.fleet[oid]._regions._locate_cache) == 0
+        queries = [
+            (oid, query_time)
+            for oid in sorted(recents)
+            for query_time in (203, 205, 211)
+        ]
+
+        async def serve():
+            bodies = []
+            for oid, query_time in queries:
+                request = encode_json(
+                    {
+                        "object_id": oid,
+                        "recent": [p.as_tuple() for p in recents[oid]],
+                        "query_time": query_time,
+                        "k": 2,
+                    }
+                )
+                status, _ctype, body, _extra = await route(
+                    service, "POST", "/predict", request
+                )
+                assert status == 200, body
+                bodies.append(body)
+            await service.drain()
+            return bodies
+
+        assert asyncio.run(serve()) == [
+            render_predict_body(
+                oid,
+                query_time,
+                kernel_fleet.predict(oid, recents[oid], query_time, 2),
+            )
+            for oid, query_time in queries
+        ]
 
 
 # ----------------------------------------------------------------------

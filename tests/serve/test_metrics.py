@@ -1,5 +1,6 @@
 """Unit tests for the metrics registry: counters, gauges, histograms."""
 
+import sys
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from repro.serve.metrics import (
     Counter,
     Gauge,
     Histogram,
+    InstrumentMemo,
     MetricsRegistry,
 )
 
@@ -101,6 +103,47 @@ class TestRegistry:
         r.counter("a")
         with pytest.raises(TypeError):
             r.gauge("a")
+
+    def test_concurrent_get_or_create_makes_one_instrument_per_name(self):
+        """Existing names are read without the lock; creations race
+        under it.  Threads asking for the same new names must all get
+        one instrument per name, so no increment is lost."""
+        r = MetricsRegistry()
+        names = [f"c{i}" for i in range(50)]
+        start = threading.Barrier(8)
+
+        def spin():
+            start.wait(timeout=10)
+            for _ in range(20):
+                for name in names:
+                    r.counter(name).inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=spin) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert {name: r.counter(name).value for name in names} == {
+            name: 160 for name in names
+        }
+
+    def test_instrument_memo_registers_a_name_on_first_use(self):
+        r = MetricsRegistry()
+        memo = InstrumentMemo(r)
+        assert "hits" not in r
+        hits = memo.counter("hits")
+        assert "hits" in r
+        assert memo.counter("hits") is hits is r.counter("hits")
+        memo.gauge("size", help="entries").set(3)
+        assert r.dump()["size"] == {"type": "gauge", "help": "entries", "value": 3}
+        assert memo.histogram("seconds") is r.histogram("seconds")
+        assert sorted(r.snapshot()) == ["hits", "seconds", "size"]
 
     def test_snapshot_shapes(self):
         r = MetricsRegistry()

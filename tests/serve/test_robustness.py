@@ -23,6 +23,7 @@ from repro.serve import (
     FaultInjector,
     HttpClient,
     LoadReport,
+    MetricsRegistry,
     PredictionServer,
     PredictionService,
     RefitScheduler,
@@ -193,6 +194,47 @@ class TestAdmissionController:
         assert len(controller._buckets) == 2
         # "a" was evicted: it gets a fresh (full) bucket again.
         assert controller.try_acquire("predict", "a").admitted
+
+    def test_depth_gauges_read_every_class_count(self):
+        registry = MetricsRegistry()
+        controller = AdmissionController({"predict": 3}, metrics=registry)
+
+        def gauges():
+            return {
+                name: entry["value"]
+                for name, entry in registry.snapshot().items()
+                if name.startswith("serve_queue_depth")
+            }
+
+        assert gauges() == {}
+        steps = [
+            ("acquire", "predict"),
+            ("acquire", "predict"),
+            ("acquire", "ingest"),
+            ("release", "predict"),
+            ("acquire", "predict"),
+            ("acquire", "predict"),
+            ("acquire", "predict"),  # shed: at capacity, no gauge change
+            ("acquire", "audit"),  # a class first seen at admission
+            ("release", "ingest"),
+            ("release", "audit"),
+            ("release", "predict"),
+            ("release", "predict"),
+            ("release", "predict"),
+        ]
+        for action, request_class in steps:
+            if action == "acquire":
+                controller.try_acquire(request_class)
+            else:
+                controller.release(request_class)
+            want = {
+                f"serve_queue_depth_{name}": count
+                for name, count in controller.inflight.items()
+            }
+            want["serve_queue_depth"] = sum(controller.inflight.values())
+            assert gauges() == want
+            assert controller.depth() == want["serve_queue_depth"]
+        assert set(gauges().values()) == {0}
 
     def test_release_without_acquire_raises(self):
         controller = AdmissionController({})

@@ -560,9 +560,8 @@ class TestSnapshotWarmup:
     def test_restore_and_predict_never_import_scipy(
         self, fleet, history, tmp_path
     ):
-        """Serving needs numpy only: a snapshot restore (with its locate
-        prewarm) and a predict run in a fresh interpreter never load
-        scipy."""
+        """Serving needs numpy only: a snapshot restore and a predict run
+        in a fresh interpreter never load scipy."""
         import subprocess
         import sys
         from pathlib import Path

@@ -287,11 +287,13 @@ class TestShardSnapshots:
         with pytest.raises(ValueError, match="split for ring"):
             load_shard_fleet(sharded, 0, 3)
 
-    def test_worker_prewarms_its_locate_memos(
+    def test_worker_starts_with_empty_memos_and_answers_like_the_fleet(
         self, multi_fleet, tmp_path, monkeypatch
     ):
-        """A shard worker is warm when it reports ready, like a service
-        built with ``PredictionService.from_snapshot``."""
+        """A shard worker reports ready without warming its locate memos,
+        and its answers are the in-process fleet's, byte for byte."""
+        from repro.serve.handlers import render_predict_body
+        from repro.serve.httpclient import HttpClient
         from repro.serve.shard import worker
 
         plain = tmp_path / "plain"
@@ -304,24 +306,53 @@ class TestShardSnapshots:
 
         monkeypatch.setattr(worker, "load_shard_fleet", recording_load)
         ready = tmp_path / "ready"
+        window = recent_window()
+        query_times = [int(window[-1][0]) + h for h in (2, 5, 20)]
 
         async def scenario():
             task = asyncio.ensure_future(
                 worker.run_worker(plain, 0, 1, ready_file=ready)
             )
+            client = None
             try:
                 while not ready.exists():
                     assert not task.done(), task
                     await asyncio.sleep(0.01)
+                (fleet,) = loaded
+                memos = [
+                    len(fleet[object_id].regions_._locate_cache)
+                    for object_id in fleet.object_ids()
+                ]
+                client = HttpClient("127.0.0.1", int(ready.read_text()))
+                bodies = {}
+                for object_id in OBJECT_IDS:
+                    for query_time in query_times:
+                        status, _headers, body = await client.request(
+                            "POST",
+                            "/predict",
+                            {
+                                "object_id": object_id,
+                                "recent": window,
+                                "query_time": query_time,
+                                "k": 2,
+                            },
+                        )
+                        assert status == 200, body
+                        bodies[object_id, query_time] = body
+                return fleet, memos, bodies
             finally:
+                if client is not None:
+                    await client.close()
                 task.cancel()
                 await asyncio.gather(task, return_exceptions=True)
 
-        asyncio.run(scenario())
-        (fleet,) = loaded
+        fleet, memos, bodies = asyncio.run(scenario())
         assert fleet.object_ids() == sorted(OBJECT_IDS)
-        for object_id in fleet.object_ids():
-            assert len(fleet[object_id].regions_._locate_cache) > 0
+        assert memos == [0] * NUM_OBJECTS
+        points = [TimedPoint(int(t), x, y) for t, x, y in window]
+        for (object_id, query_time), body in bodies.items():
+            want = multi_fleet.predict(object_id, points, query_time, k=2)
+            assert body == render_predict_body(object_id, query_time, want)
 
     def test_split_merge_identity(self, multi_fleet, tmp_path):
         from repro.core.fingerprint import model_fingerprint
