@@ -2,7 +2,7 @@
 
 The served query path answers from :class:`repro.core.plan.PreparedQuery`
 plans (per-window work hoisted out of the per-query loop), cached
-premise-weight tables, a locate memo on the region set and the
+premise-weight tables, an exact block scan for region locate and the
 vectorized score kernel — all under a byte-identity contract.  This
 bench holds the contract to account: a ``LegacyPredictor`` re-implements
 the per-call algorithm (uncached region mapping via per-region scans,
@@ -45,6 +45,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from repro import HPMConfig, TimedPoint
 from repro.core.fleet import FleetPredictionModel
@@ -133,12 +135,23 @@ class LegacyPredictor:
         window = list(recent)[-self.config.recent_window :]
         seen: list = []
         for sample in window:
-            region = self.regions.locate_uncached(
-                (sample.x, sample.y), sample.t % self.config.period
-            )
+            region = self.locate(sample.x, sample.y, sample.t % self.config.period)
             if region is not None and region not in seen:
                 seen.append(region)
         return seen
+
+    def locate(self, x: float, y: float, offset: int):
+        """Density membership, one region at a time: each region's
+        closest member at ``np.sqrt(dx*dx + dy*dy)``, and the closest
+        region within ``eps`` — the later region on a tie."""
+        best, best_dist = None, self.regions.eps
+        for region in self.regions.at_offset(offset):
+            dx = region.points[:, 0] - x
+            dy = region.points[:, 1] - y
+            dist = np.sqrt(dx * dx + dy * dy).min()
+            if dist <= best_dist:
+                best, best_dist = region, dist
+        return best
 
     def forward_query(
         self, recent: Sequence[TimedPoint], query_time: int, k: int

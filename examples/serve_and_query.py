@@ -3,7 +3,8 @@
 Fits the quickstart commuter model, stands up the asyncio prediction
 service (:mod:`repro.serve`) on an ephemeral port, then plays a full
 client session against it: stream fixes into ``/ingest``, ask
-``/predict`` twice (miss, then cache hit), fire a small load burst, and
+``/predict`` three times (an answer is cached on its second sighting:
+miss, miss, then hit), fire a small load burst, and
 read the scoreboard from ``/metrics``.
 
 Run:  python examples/serve_and_query.py
@@ -74,7 +75,7 @@ async def main() -> None:
     # --- predict from the tracker window (no recent needed) -----------
     client = HttpClient("127.0.0.1", server.port)
     query = {"object_id": "commuter", "query_time": now + 8}
-    for attempt in ("first", "repeat"):
+    for attempt in ("first", "second", "third"):
         status, headers, body = await client.request(
             "POST", "/predict", query
         )

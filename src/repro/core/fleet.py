@@ -543,16 +543,6 @@ class FleetPredictionModel:
         for model in models:
             model.config = model.config.with_overrides(**overrides)
 
-    def prewarm_locate_cache(self, limit: int = 512) -> int:
-        """Prime every object's region-locate memo from its history tail.
-
-        See :meth:`HybridPredictionModel.prewarm_locate_cache`; the serve
-        paths do not call it.  Returns the total number of probes issued.
-        """
-        with self._registry_lock:
-            models = list(self._models.values())
-        return sum(model.prewarm_locate_cache(limit) for model in models)
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -634,33 +634,13 @@ class HybridPredictionModel:
         ]
 
     def prewarm_locate_cache(self, limit: int = 512) -> int:
-        """Prime the region-locate memo from the history tail.
+        """Kept as a no-op that returns 0: region locate holds no memo.
 
-        ``RegionSet.locate``'s LRU is dropped on pickle, so a model
-        restored from a snapshot starts cold and its first queries pay
-        block scans.  This replays the last ``limit`` history samples —
-        row ``i`` carries offset ``(start_time + i) mod T`` — so windows
-        cut from the history tail hit the memo.  Serving restores do not
-        call it: held-out query windows were measured to hit none of
-        those keys.  Returns the number of probes issued; 0 when the
-        model has no regions.
+        :meth:`RegionSet.locate` is an exact scan with nothing to warm.
+        The method stays only because perfbench's ``snapshot.prewarm``
+        span wraps it by name; it goes when that span does.
         """
-        self._require_fitted()
-        regions = self._regions
-        history = self._history
-        if regions is None or history is None or len(regions) == 0:
-            return 0
-        positions = history.positions
-        count = min(limit, positions.shape[0])
-        if count <= 0:
-            return 0
-        start = positions.shape[0] - count
-        start_time = history.start_time
-        period = self.config.period
-        return regions.prewarm_locate(
-            (positions[i, 0], positions[i, 1], (start_time + i) % period)
-            for i in range(start, positions.shape[0])
-        )
+        return 0
 
     # ------------------------------------------------------------------
     # introspection

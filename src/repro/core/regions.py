@@ -12,9 +12,9 @@ we use ``R_t^j`` to represent the j-th frequent region at time offset t."
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -163,10 +163,19 @@ class RegionSet:
     Membership of an arbitrary location uses DBSCAN's density semantics: a
     point belongs to ``R_t^j`` when it lies within ``eps`` of one of the
     region's member points.  Each offset's member points are packed into
-    one block in canonical order, so a lookup is one vectorised scan of
-    that block.  An offset group holds at most one point per training
-    period, which keeps every block small.
+    one block in canonical order, and a lookup is one exact scan of that
+    block — a Python loop over packed floats for a small block, one
+    vectorised numpy pass for a large one (:attr:`py_scan_max_points`).
+    An offset group holds at most one point per training period, which
+    keeps most blocks small.  Nothing is memoised: a lookup costs a few
+    microseconds and most probes are never repeated.
     """
+
+    #: Offset blocks of at most this many member points are scanned by a
+    #: Python loop; larger ones by one numpy pass, whose fixed cost of
+    #: ~8-12 us a call only pays off past this size (measured crossover).
+    #: At most 255, so a block's owner index fits in a byte.
+    py_scan_max_points = 48
 
     def __init__(
         self,
@@ -192,26 +201,44 @@ class RegionSet:
         self._by_offset: dict[int, list[FrequentRegion]] = {}
         for region in self._regions:
             self._by_offset.setdefault(region.offset, []).append(region)
-        # Per offset: the x and y columns of its regions' member points,
-        # each region's start row within them, and its first region id.
         sizes = [len(region) for region in self._regions]
         if 0 in sizes:
             raise ValueError("a frequent region needs at least one member point")
+        # Per offset: the x and y columns of its regions' member points,
+        # which region owns each point, and the offset's first region id.
+        # A small block holds its columns as packed floats and its owners
+        # as one byte per point (the region's index within the block); a
+        # large block holds numpy columns and each region's start row.
+        # Either way each coordinate is stored once.
         starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
         points = np.concatenate(
             [r.points for r in self._regions] or [np.empty((0, 2))]
         ).astype(np.float64)
-        xs, ys = points[:, 0].copy(), points[:, 1].copy()
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+        xs = np.ascontiguousarray(points[:, 0])
+        ys = np.ascontiguousarray(points[:, 1])
+        self._blocks: dict[int, tuple] = {}
         first = 0
         for offset, members in self._by_offset.items():
             end = first + len(members)
-            lo, hi = starts[first], starts[end]
-            self._blocks[offset] = (
-                xs[lo:hi], ys[lo:hi], starts[first:end] - lo, first
-            )
+            lo, hi = int(starts[first]), int(starts[end])
+            if hi - lo <= self.py_scan_max_points:
+                self._blocks[offset] = (
+                    array("d", xs[lo:hi].tobytes()),
+                    array("d", ys[lo:hi].tobytes()),
+                    b"".join(
+                        bytes((j,)) * size
+                        for j, size in enumerate(sizes[first:end])
+                    ),
+                    first,
+                )
+            else:
+                self._blocks[offset] = (
+                    xs[lo:hi].copy(),
+                    ys[lo:hi].copy(),
+                    starts[first:end] - lo,
+                    first,
+                )
             first = end
-        self._locate_cache: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
     # container protocol
@@ -245,47 +272,17 @@ class RegionSet:
         """Sorted offsets that have at least one frequent region."""
         return sorted(self._by_offset)
 
-    # LRU capacity for the locate memo.  Recent windows of live objects
-    # revisit the same handful of (coordinate, offset) cells constantly —
-    # serve batching, trajectory sweeps and repeated queries all hit.
-    _LOCATE_CACHE_SIZE = 4096
-
     def locate(self, point: Point | tuple[float, float], offset: int) -> FrequentRegion | None:
         """The frequent region at ``offset`` containing ``point``, if any.
 
         "Containing" means within ``eps`` of a member point (density
-        membership).  When several regions qualify (possible at region
-        borders) the closest member wins.
-
-        Answers are memoised in an LRU keyed on the exact coordinates and
-        offset — the degenerate grid cell — so a cached answer is always
-        the answer :meth:`locate_uncached` would give.
-        """
-        xy = (point.x, point.y) if isinstance(point, Point) else (point[0], point[1])
-        cache_key = (xy[0], xy[1], offset)
-        cache = self._locate_cache
-        try:
-            region = cache[cache_key]
-        except KeyError:
-            pass
-        else:
-            cache.move_to_end(cache_key)
-            return region
-        region = self.locate_uncached(xy, offset)
-        cache[cache_key] = region
-        if len(cache) > self._LOCATE_CACHE_SIZE:
-            cache.popitem(last=False)
-        return region
-
-    def locate_uncached(
-        self, point: Point | tuple[float, float], offset: int
-    ) -> FrequentRegion | None:
-        """:meth:`locate` without the memo: one scan of the offset's block.
-
-        Every member point at ``offset`` is ``sqrt(dx*dx + dy*dy)`` away;
-        ``np.minimum.reduceat`` takes each region's minimum.  The closest
-        region wins — the last in ``(offset, index)`` order on a tie — if
-        it lies within ``eps``.  Non-finite coordinates raise
+        membership).  Every member point at ``offset`` is
+        ``sqrt(dx*dx + dy*dy)`` away, in float64; the region of the
+        closest one wins — the last in ``(offset, index)`` order on a
+        tie — if it lies within ``eps``.  Both scans compute these
+        distances alike (``math.sqrt`` and ``np.sqrt`` round the same
+        float64 sum the same way), so they return the same region.
+        Non-finite coordinates and offsets outside ``[0, period)`` raise
         :class:`ValueError`.
         """
         if not 0 <= offset < self.period:
@@ -296,42 +293,27 @@ class RegionSet:
         block = self._blocks.get(offset)
         if block is None:
             return None
-        xs, ys, starts, first = block
-        dx = xs - x
-        dy = ys - y
-        dists = np.minimum.reduceat(np.sqrt(dx * dx + dy * dy), starts)
-        last = dists.shape[0] - 1 - int(np.argmin(dists[::-1]))
-        if dists[last] > self.eps:
+        xs, ys, owners, first = block
+        if type(owners) is bytes:
+            sqrt = math.sqrt
+            best = math.inf
+            hit = 0
+            for px, py, j in zip(xs, ys, owners):
+                dx = px - x
+                dy = py - y
+                dist = sqrt(dx * dx + dy * dy)
+                if dist <= best:
+                    best = dist
+                    hit = j
+        else:
+            dx = xs - x
+            dy = ys - y
+            dists = np.minimum.reduceat(np.sqrt(dx * dx + dy * dy), owners)
+            hit = dists.shape[0] - 1 - int(np.argmin(dists[::-1]))
+            best = dists[hit]
+        if best > self.eps:
             return None
-        return self._regions[first + last]
-
-    def prewarm_locate(self, samples: Iterable[tuple[float, float, int]]) -> int:
-        """Prime the locate memo with ``(x, y, offset)`` probes.
-
-        The memo is derived state and deliberately dropped on pickle
-        (:meth:`__getstate__`), so a freshly restored snapshot answers its
-        first queries through block scans.
-        ``FleetPredictionModel.prewarm_locate_cache`` replays the history
-        tail through this; snapshot restores and shard workers do not
-        call it, because those keys were measured to give no memo hits
-        on held-out queries.  Returns the number of probes issued.
-        """
-        count = 0
-        for x, y, offset in samples:
-            self.locate((float(x), float(y)), int(offset))
-            count += 1
-        return count
-
-    def __getstate__(self) -> dict:
-        # The memo is derived state; ship snapshots/pickles without it.
-        state = self.__dict__.copy()
-        state["_locate_cache"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Snapshots written before the memo existed restore without it.
-        self.__dict__.setdefault("_locate_cache", OrderedDict())
+        return self._regions[first + hit]
 
     def __repr__(self) -> str:
         return f"RegionSet(regions={len(self)}, period={self.period}, eps={self.eps})"

@@ -15,6 +15,10 @@ tracker state.  It also bumps the object's generation, so a ``put`` of
 an answer computed before the invalidation is dropped.
 
 Thread-safe; the clock is injectable for deterministic tests.
+
+:class:`Doorkeeper` is the serve path's admission filter in front of the
+cache: most served queries are never repeated, so an answer is stored
+only on its key's second sighting.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from __future__ import annotations
 import struct
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Sequence
 
 from ..trajectory.point import TimedPoint
 from .metrics import InstrumentMemo
 
-__all__ = ["PredictionCache"]
+__all__ = ["Doorkeeper", "PredictionCache"]
 
 
 class PredictionCache:
@@ -251,3 +256,43 @@ class PredictionCache:
             f"PredictionCache(size={len(self._entries)}/{self.max_entries}, "
             f"hit_rate={self.hit_rate:.2f})"
         )
+
+
+class Doorkeeper:
+    """Remembers which cache keys were offered before, in a fixed 64 KiB
+    bit table (TinyLFU's doorkeeper; Einziger, Friedman and Manes, ACM
+    ToS 2017).
+
+    :meth:`offer` reports whether ``key`` was offered before and marks it
+    seen.  A key sets one bit, chosen by a CRC-32 of the key, so the
+    answer does not depend on ``PYTHONHASHSEED``.  Two keys may share a
+    bit; a false "seen" only admits an answer one sighting early.  The
+    table is cleared after ``reset_after`` first sightings, so it keeps
+    up with the current traffic and its false "seen" rate stays low.
+
+    Not locked: the service offers keys from the event loop only.
+    """
+
+    BITS = 1 << 19  # 64 KiB
+
+    def __init__(self, reset_after: int):
+        if reset_after < 1:
+            raise ValueError(f"reset_after must be >= 1, got {reset_after}")
+        self.reset_after = reset_after
+        self._table = bytearray(self.BITS >> 3)
+        self._first_sightings = 0
+
+    def offer(self, key: tuple) -> bool:
+        """True when ``key`` was offered before; marks it seen either way."""
+        object_id, window, query_time, k = key
+        head = f"{object_id}\0{query_time}\0{k}".encode("utf-8", "surrogatepass")
+        bit = zlib.crc32(window, zlib.crc32(head)) & (self.BITS - 1)
+        index, mask = bit >> 3, 1 << (bit & 7)
+        if self._table[index] & mask:
+            return True
+        if self._first_sightings == self.reset_after:
+            self._table = bytearray(self.BITS >> 3)
+            self._first_sightings = 0
+        self._first_sightings += 1
+        self._table[index] |= mask
+        return False

@@ -14,7 +14,9 @@ Endpoints
   "deadline_ms"?}``; ``recent`` is ``[[t, x, y], ...]`` (chronological)
   and may be omitted when the object has an ingest-fed tracker window.
   Responds with the top-k predictions; the ``X-Cache`` header says
-  ``hit`` or ``miss``.  ``deadline_ms`` bounds the model pass — on
+  ``hit`` or ``miss``.  An answer is cached on its query's second
+  sighting, so a repeated query reads ``miss`` twice and ``hit`` from
+  the third time on.  ``deadline_ms`` bounds the model pass — on
   expiry the answer degrades (stale cache or motion-only, marked
   ``"degraded": true`` and ``X-Degraded: true``; ``X-Cache: stale``
   for the stale rung) rather than blocking past the deadline.

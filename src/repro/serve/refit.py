@@ -39,18 +39,21 @@ lifecycle per object::
   nobody awaited.
 
 Every task created here has a done-callback that retrieves its result,
-so no exception can ever go unobserved; failures are counted and
-retried instead.
+so no exception can ever go unobserved; failures are counted, logged
+with their traceback through this module's logger, and retried.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import random
 import time
 from typing import Awaitable, Callable
 
 __all__ = ["RefitScheduler"]
+
+_log = logging.getLogger(__name__)
 
 # lifecycle states (kept as strings for cheap introspection in tests)
 _QUEUED = "queued"
@@ -226,7 +229,22 @@ class RefitScheduler:
             self.failures += 1
             entry.attempts += 1
             self._count("serve_refit_errors_total")
-            if entry.attempts >= self.max_retries:
+            dead = entry.attempts >= self.max_retries
+            _log.log(
+                logging.ERROR if dead else logging.WARNING,
+                "refit of object %r failed on attempt %d of %d; %s",
+                object_id,
+                entry.attempts,
+                self.max_retries,
+                "dead-lettered" if dead else "will retry",
+                exc_info=True,
+                extra={
+                    "object_id": object_id,
+                    "attempt": entry.attempts,
+                    "dead_lettered": dead,
+                },
+            )
+            if dead:
                 self._dead_letter(object_id, entry)
             else:
                 self._schedule_retry(object_id, entry)

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 from ..trajectory.point import TimedPoint
 from .admission import AdmissionController
 from .batching import RequestBatcher
-from .cache import PredictionCache
+from .cache import Doorkeeper, PredictionCache
 from .chaos import ChaosConfig, FaultInjector
 from .handlers import ApiError, encode_json, route
 from .metrics import (
@@ -104,6 +104,9 @@ class ServeConfig:
     pre-hardening stack.
     """
 
+    #: answer-cache capacity.  An answer is stored on its query's second
+    #: sighting; a 64 KiB doorkeeper remembers first sightings and is
+    #: cleared after ``4 * cache_entries`` of them.
     cache_entries: int = 4096
     cache_ttl: float | None = 30.0
     cache_quantum: float = 1.0
@@ -214,6 +217,7 @@ class PredictionService:
             quantum=self.config.cache_quantum,
             metrics=self.metrics,
         )
+        self._doorkeeper = Doorkeeper(reset_after=4 * self.config.cache_entries)
         self.batcher = RequestBatcher(
             self._execute_batch,
             max_batch=self.config.max_batch,
@@ -272,12 +276,6 @@ class PredictionService:
         (see :func:`repro.core.persistence.load_fleet`) so a large
         snapshot warms up in a fraction of the serial time before the
         first request is accepted.
-
-        The region-locate memos start empty.  Replaying the history tail
-        into them (:meth:`FleetPredictionModel.prewarm_locate_cache`)
-        was measured not to pay: over 4000 held-out queries none of
-        13 761 memo hits came from the 8192 keys it wrote, and it cost
-        ~0.1 s of start-up and ~1.7 MB per serving process.
         """
         from ..core.persistence import load_fleet
 
@@ -349,7 +347,12 @@ class PredictionService:
         except (asyncio.TimeoutError, TimeoutError):
             self._instruments.counter("serve_deadline_timeouts_total").inc()
             return self._degraded_answer(object_id, window, query_time, stale)
-        if self.config.enable_cache:
+        # Admit on the second sighting: most queries are never repeated,
+        # so a first answer is not stored.  A stored (stale) entry is
+        # refreshed.
+        if self.config.enable_cache and (
+            stale is not None or self._doorkeeper.offer(key)
+        ):
             self.cache.put(key, predictions, generation)
         return predictions, False, False
 

@@ -104,9 +104,6 @@ async def run_worker(
     ``refit_policy`` (``refit_mode``/``refit_full_every``) is applied to
     the loaded models with
     :meth:`~repro.core.fleet.FleetPredictionModel.override_refit_policy`.
-    Like :meth:`PredictionService.from_snapshot`, the worker reports
-    ready with empty region-locate memos: warming them from the history
-    tail was measured to give no memo hits.
     """
     fleet = load_shard_fleet(
         snapshot,

@@ -1,7 +1,7 @@
 """Prepared-query plans and the query-path caches.
 
 The contract: every cache on the query path (prepared plans, the
-premise-weight tables, the locate memo, the RMF walk frontier) must leave
+premise-weight tables, the RMF walk frontier) must leave
 answers **byte-identical** to the straightforward per-call computation.
 These tests pin that down by comparing against legacy-shaped oracles:
 brute-force Intersect scans, uncached similarity, full sorts and fresh
@@ -316,20 +316,9 @@ class TestPremiseScorer:
 
 
 # ----------------------------------------------------------------------
-# RegionSet.locate memo
+# RegionSet.locate inputs (exactness is pinned in test_regions.py)
 # ----------------------------------------------------------------------
 class TestLocateMemo:
-    def test_cached_equals_uncached(self, world):
-        model, base = world
-        regions = model.regions_
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            offset = int(rng.integers(0, regions.period))
-            xy = (float(rng.uniform(-50, 1200)), float(rng.uniform(-50, 700)))
-            assert regions.locate(xy, offset) == regions.locate_uncached(xy, offset)
-            # Second call is the cache hit; must agree too.
-            assert regions.locate(xy, offset) == regions.locate_uncached(xy, offset)
-
     def test_point_and_tuple_share_cache_key(self, world):
         model, base = world
         regions = model.regions_
@@ -340,24 +329,6 @@ class TestLocateMemo:
         model, _ = world
         with pytest.raises(ValueError):
             model.regions_.locate((0.0, 0.0), model.regions_.period)
-
-    def test_cache_dropped_on_pickle(self, world):
-        model, base = world
-        regions = model.regions_
-        regions.locate((float(base[0][0]), float(base[0][1])), 0)
-        clone = pickle.loads(pickle.dumps(regions))
-        assert len(clone._locate_cache) == 0
-        assert clone.locate((float(base[0][0]), float(base[0][1])), 0) == (
-            regions.locate((float(base[0][0]), float(base[0][1])), 0)
-        )
-
-    def test_cache_is_bounded(self, world):
-        model, _ = world
-        regions = model.regions_
-        limit = regions._LOCATE_CACHE_SIZE
-        for i in range(limit + 50):
-            regions.locate((float(i), 0.0), 0)
-        assert len(regions._locate_cache) <= limit
 
 
 # ----------------------------------------------------------------------

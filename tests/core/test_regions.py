@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.regions import FrequentRegion, RegionSet, discover_frequent_regions
@@ -127,8 +127,44 @@ class TestRegionSet:
 
 
 # ----------------------------------------------------------------------
-# locate exactness: the block scan against a plain-Python reference
+# locate exactness: both block scans against two independent oracles
 # ----------------------------------------------------------------------
+def numpy_locate(region_set, xy, offset):
+    """The vectorised block scan, rebuilt from the regions at ``offset``.
+
+    All member points' ``np.sqrt(dx * dx + dy * dy)``, each region's
+    minimum by ``np.minimum.reduceat``, and the last minimal region (in
+    ``(offset, index)`` order) if it lies within ``eps``.
+    """
+    members = region_set.at_offset(offset)
+    if not members:
+        return None
+    points = np.concatenate([r.points for r in members]).astype(np.float64)
+    starts = np.cumsum([0] + [len(r) for r in members[:-1]])
+    dx = points[:, 0] - xy[0]
+    dy = points[:, 1] - xy[1]
+    dists = np.minimum.reduceat(np.sqrt(dx * dx + dy * dy), starts)
+    last = dists.shape[0] - 1 - int(np.argmin(dists[::-1]))
+    return None if dists[last] > region_set.eps else members[last]
+
+
+class PythonScans(RegionSet):
+    py_scan_max_points = 255
+
+
+class NumpyScans(RegionSet):
+    py_scan_max_points = -1
+
+
+def every_scan(regions, period, eps):
+    """The same regions as three sets: the default size rule, every
+    block in Python, every block in numpy."""
+    return [
+        kind(regions, period=period, eps=eps)
+        for kind in (RegionSet, PythonScans, NumpyScans)
+    ]
+
+
 def reference_locate(region_set, xy, offset):
     """The density-membership rule, one region and one point at a time.
 
@@ -187,15 +223,104 @@ def half_grid_worlds(draw):
     )
 
 
+def float_region(offset, index, points):
+    return FrequentRegion(
+        offset=offset,
+        index=index,
+        center=Point(*points.mean(axis=0)),
+        points=points,
+        bbox=BoundingBox(*points.min(axis=0), *points.max(axis=0)),
+        subtrajectory_ids=tuple(range(points.shape[0])),
+    )
+
+
+@st.composite
+def float_worlds(draw):
+    """Regions of random float points, with blocks on both sides of the
+    size rule, and probes on and around their eps borders.
+
+    Probes: random points; member points moved by exactly eps, by
+    eps * (1 +/- 1e-9) and by random distances up to 3 eps; midpoints
+    of neighbouring member points (equidistant between them)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    period = draw(st.integers(1, 3))
+    eps = draw(st.sampled_from([1.0, 7.5, 30.0]))
+    limit = RegionSet.py_scan_max_points
+    regions = []
+    for offset in range(period):
+        total = draw(st.sampled_from([0, 1, limit - 1, limit, limit + 1, 2 * limit]))
+        if total == 0:
+            continue  # an empty offset
+        cuts = sorted(draw(st.lists(st.integers(1, max(total - 1, 1)), max_size=3)))
+        bounds = [0] + [c for c in dict.fromkeys(cuts) if 0 < c < total] + [total]
+        centers = rng.uniform(-4 * eps, 4 * eps, (len(bounds), 2))
+        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            spread = rng.uniform(0.2, 2.0) * eps
+            regions.append(
+                float_region(
+                    offset, index, centers[index] + rng.normal(0, spread, (hi - lo, 2))
+                )
+            )
+    queries = []
+    for region in regions:
+        for px, py in region.points.tolist():
+            angle = rng.uniform(0, 2 * math.pi)
+            ux, uy = math.cos(angle), math.sin(angle)
+            radii = (eps, eps * (1 + 1e-9), eps * (1 - 1e-9), rng.uniform(0, 3 * eps))
+            for r in radii:
+                queries.append(((px + r * ux, py + r * uy), region.offset))
+            queries.append(((px + eps, py), region.offset))
+    for offset in range(period):
+        members = [r.points for r in regions if r.offset == offset]
+        if members:
+            points = np.concatenate(members)
+            for a, b in zip(points[:-1], points[1:]):
+                queries.append((tuple(((a + b) / 2.0).tolist()), offset))
+    for x, y in rng.uniform(-6 * eps, 6 * eps, (10, 2)).tolist():
+        queries.append(((x, y), int(rng.integers(0, period))))
+    return regions, period, eps, queries
+
+
 class TestLocateExactness:
     @given(half_grid_worlds())
     def test_matches_reference(self, world):
         region_set, queries = world
+        built = every_scan(list(region_set), region_set.period, region_set.eps)
         for xy, offset in queries:
             want = reference_locate(region_set, xy, offset)
-            got = region_set.locate_uncached(xy, offset)
-            assert got is want
-            assert region_set.locate(xy, offset) is want
+            assert numpy_locate(region_set, xy, offset) is want
+            for scanned in built:
+                assert scanned.locate(xy, offset) is want
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_worlds())
+    def test_matches_numpy_scan_on_float_worlds(self, world):
+        regions, period, eps, queries = world
+        built = every_scan(regions, period, eps)
+        for xy, offset in queries:
+            want = numpy_locate(built[0], xy, offset)
+            for region_set in built:
+                assert region_set.locate(xy, offset) is want
+
+    def test_size_rule_picks_the_scan_per_block(self):
+        limit = RegionSet.py_scan_max_points
+        rng = np.random.default_rng(3)
+        regions = [
+            float_region(0, 0, rng.normal(0, 5, (limit, 2))),
+            float_region(1, 0, rng.normal(0, 5, (limit - 3, 2))),
+            float_region(1, 1, rng.normal(9, 5, (4, 2))),
+        ]
+        region_set = RegionSet(regions, period=2, eps=4.0)
+        python_block, numpy_block = region_set._blocks[0], region_set._blocks[1]
+        assert type(python_block[2]) is bytes
+        assert isinstance(numpy_block[2], np.ndarray)
+        # One copy of each coordinate: packed floats or numpy columns.
+        assert not any(isinstance(part, np.ndarray) for part in python_block)
+        for xy in rng.normal(3, 8, (200, 2)).tolist():
+            for offset in (0, 1):
+                assert region_set.locate(xy, offset) is numpy_locate(
+                    region_set, xy, offset
+                )
 
     @given(half_grid_worlds())
     def test_matches_per_region_kd_trees(self, world):
@@ -207,22 +332,20 @@ class TestLocateExactness:
                 dist, _ = cKDTree(region.points).query(xy, k=1)
                 if dist <= best_dist:
                     want, best_dist = region, dist
-            assert region_set.locate_uncached(xy, offset) is want
+            assert region_set.locate(xy, offset) is want
 
     def test_tie_goes_to_the_later_region(self):
         left = half_grid_region(0, 0, [(-4, 0)])  # member at (-2, 0)
         right = half_grid_region(0, 1, [(4, 0)])  # member at (2, 0)
         region_set = RegionSet([left, right], period=1, eps=2.0)
-        assert region_set.locate_uncached((0.0, 0.0), 0) is right
-        assert region_set.locate_uncached((0.0, 1.0), 0) is None
+        assert region_set.locate((0.0, 0.0), 0) is right
+        assert region_set.locate((0.0, 1.0), 0) is None
         # Exactly Eps away still counts; a hair beyond does not.
-        assert region_set.locate_uncached((-4.0, 0.0), 0) is left
-        assert region_set.locate_uncached((-4.0 - 1e-9, 0.0), 0) is None
+        assert region_set.locate((-4.0, 0.0), 0) is left
+        assert region_set.locate((-4.0 - 1e-9, 0.0), 0) is None
 
     def test_out_of_range_offset_raises(self, jane_region_set):
         for offset in (-1, 3):
-            with pytest.raises(ValueError, match="outside"):
-                jane_region_set.locate_uncached((0.0, 0.0), offset)
             with pytest.raises(ValueError, match="outside"):
                 jane_region_set.locate((0.0, 0.0), offset)
 
@@ -231,10 +354,9 @@ class TestLocateExactness:
     )
     def test_non_finite_location_raises_at_every_offset(self, jane_region_set, xy):
         sparse = RegionSet(list(jane_region_set)[:1], period=3, eps=5.0)
-        for region_set in (jane_region_set, sparse):
+        numpy_scans = NumpyScans(list(jane_region_set), period=3, eps=5.0)
+        for region_set in (jane_region_set, sparse, numpy_scans):
             for offset in range(3):  # offsets 1 and 2 of sparse are empty
-                with pytest.raises(ValueError, match="non-finite"):
-                    region_set.locate_uncached(xy, offset)
                 with pytest.raises(ValueError, match="non-finite"):
                     region_set.locate(xy, offset)
 
@@ -263,6 +385,6 @@ class TestLocateExactness:
         for x in (-3.0, 2.0, 99.0, 100.0, 199.5):
             for offset in range(3):
                 for xy in ((x, 0.0), (0.0, x)):
-                    got = clone.locate_uncached(xy, offset)
-                    want = jane_region_set.locate_uncached(xy, offset)
+                    got = clone.locate(xy, offset)
+                    want = jane_region_set.locate(xy, offset)
                     assert (got and got.label) == (want and want.label)

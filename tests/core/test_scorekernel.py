@@ -390,57 +390,17 @@ class TestCrossObjectBatching:
 
 
 # ----------------------------------------------------------------------
-# locate-cache prewarm: a library method; serving restores start cold
+# locate holds no memo: the prewarm hook is a no-op, restores answer exactly
 # ----------------------------------------------------------------------
-def count_uncached_locates(model, window) -> int:
-    regions = model._regions
-    original = regions.locate_uncached
-    calls = {"n": 0}
-
-    def counting(point, offset):
-        calls["n"] += 1
-        return original(point, offset)
-
-    regions.locate_uncached = counting
-    try:
-        model.prepare(window)
-    finally:
-        del regions.locate_uncached
-    return calls["n"]
-
-
 class TestLocatePrewarm:
-    def history_tail_window(self, model, length=3):
-        history = model._history
-        positions = history.positions
-        n = positions.shape[0]
-        return [
-            TimedPoint(
-                history.start_time + i, float(positions[i, 0]), float(positions[i, 1])
-            )
-            for i in range(n - length, n)
-        ]
-
-    def test_prewarm_makes_tail_windows_cache_hits(self, kernel_model):
-        window = self.history_tail_window(kernel_model)
-        cold = pickle.loads(pickle.dumps(kernel_model))
-        assert count_uncached_locates(cold, window) > 0
-
-        warmed = pickle.loads(pickle.dumps(kernel_model))
-        probes = warmed.prewarm_locate_cache(512)
-        assert probes > 0
-        assert count_uncached_locates(warmed, window) == 0
-
     def test_prewarm_limit_zero_probes_nothing(self, kernel_model):
         cold = pickle.loads(pickle.dumps(kernel_model))
         assert cold.prewarm_locate_cache(0) == 0
-        assert len(cold._regions._locate_cache) == 0
+        assert cold.prewarm_locate_cache(512) == 0
 
-    def test_from_snapshot_starts_with_empty_memos_and_answers_like_the_fleet(
-        self, fleet_world, tmp_path
-    ):
-        """A restored service does not warm its locate memos, and serves
-        the in-process fleet's answers byte for byte."""
+    def test_from_snapshot_answers_like_the_fleet(self, fleet_world, tmp_path):
+        """A restored service serves the in-process fleet's answers byte
+        for byte."""
         import asyncio
 
         from repro.core.persistence import save_fleet
@@ -452,8 +412,6 @@ class TestLocatePrewarm:
         save_fleet(kernel_fleet, snapshot)
 
         service = PredictionService.from_snapshot(snapshot)
-        for oid in service.fleet.object_ids():
-            assert len(service.fleet[oid]._regions._locate_cache) == 0
 
         queries = [
             (oid, query_time)

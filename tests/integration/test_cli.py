@@ -103,7 +103,7 @@ class TestPredict:
 
 
 class TestServe:
-    def test_serves_snapshot_with_cold_locate_cache(self, snapshot, monkeypatch):
+    def test_serves_snapshot(self, snapshot, monkeypatch):
         import repro.serve
 
         served = {}
@@ -123,8 +123,6 @@ class TestServe:
         assert main(["serve", str(snapshot), "--port", "0"]) == 0
         fleet = served["service"].fleet
         assert fleet.object_ids() == ["bike"]
-        # Restores do not warm the locate memo (it was measured not to pay).
-        assert len(fleet["bike"]._regions._locate_cache) == 0
 
 
 class TestEvaluate:

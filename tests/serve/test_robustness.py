@@ -384,6 +384,36 @@ class TestRefitScheduler:
 
         self.run(body())
 
+    def test_each_failure_is_logged_with_its_exception(self, caplog):
+        async def body():
+            async def execute(object_id, payload):
+                raise RuntimeError(f"refit bug for {object_id}")
+
+            scheduler = RefitScheduler(
+                execute, base_delay=0.005, jitter=0.0, max_retries=2
+            )
+            scheduler.request("bus", None)
+            await scheduler.drain()
+            return scheduler
+
+        with caplog.at_level("WARNING", logger="repro.serve.refit"):
+            scheduler = self.run(body())
+        records = [r for r in caplog.records if r.name == "repro.serve.refit"]
+        assert [(r.levelname, r.attempt, r.dead_lettered) for r in records] == [
+            ("WARNING", 1, False),
+            ("ERROR", 2, True),
+        ]
+        for record in records:
+            assert record.object_id == "bus"
+            assert "'bus'" in record.getMessage()
+            assert record.exc_info[0] is RuntimeError
+        assert "RuntimeError: refit bug for bus" in caplog.text
+        assert "dead-lettered" in records[1].getMessage()
+        # The counters are unchanged by the logging.
+        assert scheduler.failures == 2
+        assert scheduler.retries == 1
+        assert scheduler.dead_letters == {"bus": 1}
+
     def test_no_unretrieved_task_exceptions(self):
         """A failing refit must never trip asyncio's unretrieved-exception
         reporter (the old fire-and-forget bug)."""
@@ -781,11 +811,13 @@ class TestDeadlineDegradation:
         payload = predict_payload(history)
 
         async def scenario(service, server, client):
-            # Warm the cache with a full-quality answer.
-            status, _, fresh_body = await client.request(
-                "POST", "/predict", payload
-            )
-            assert status == 200
+            # Warm the cache with a full-quality answer: an answer is
+            # stored on its query's second sighting.
+            for _ in range(2):
+                status, _, fresh_body = await client.request(
+                    "POST", "/predict", payload
+                )
+                assert status == 200
             # Let the entry expire, then hold the object lock (a refit
             # commit stand-in) past the deadline of the next pass.
             service.cache.clock = lambda: time.monotonic() + 3600.0

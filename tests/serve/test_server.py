@@ -151,6 +151,8 @@ class TestPredict:
         }
 
         async def scenario(service, server, client):
+            # Warm-up: an answer is stored on its query's second sighting.
+            await client.request("POST", "/predict", payload)
             _, first_headers, first_body = await client.request(
                 "POST", "/predict", payload
             )
@@ -382,6 +384,8 @@ class TestIngest:
                 "127.0.0.1", server.port, "default", fixes[:4]
             )
             payload = {"object_id": "default", "query_time": fixes[-1][0] + 5}
+            # Warm-up: an answer is stored on its query's second sighting.
+            await client.request("POST", "/predict", payload)
             _, h1, _ = await client.request("POST", "/predict", payload)
             _, h2, _ = await client.request("POST", "/predict", payload)
             assert (h1["x-cache"], h2["x-cache"]) == ("miss", "hit")

@@ -287,11 +287,9 @@ class TestShardSnapshots:
         with pytest.raises(ValueError, match="split for ring"):
             load_shard_fleet(sharded, 0, 3)
 
-    def test_worker_starts_with_empty_memos_and_answers_like_the_fleet(
-        self, multi_fleet, tmp_path, monkeypatch
-    ):
-        """A shard worker reports ready without warming its locate memos,
-        and its answers are the in-process fleet's, byte for byte."""
+    def test_worker_answers_like_the_fleet(self, multi_fleet, tmp_path, monkeypatch):
+        """A shard worker's answers are the in-process fleet's, byte for
+        byte."""
         from repro.serve.handlers import render_predict_body
         from repro.serve.httpclient import HttpClient
         from repro.serve.shard import worker
@@ -319,10 +317,6 @@ class TestShardSnapshots:
                     assert not task.done(), task
                     await asyncio.sleep(0.01)
                 (fleet,) = loaded
-                memos = [
-                    len(fleet[object_id].regions_._locate_cache)
-                    for object_id in fleet.object_ids()
-                ]
                 client = HttpClient("127.0.0.1", int(ready.read_text()))
                 bodies = {}
                 for object_id in OBJECT_IDS:
@@ -339,16 +333,15 @@ class TestShardSnapshots:
                         )
                         assert status == 200, body
                         bodies[object_id, query_time] = body
-                return fleet, memos, bodies
+                return fleet, bodies
             finally:
                 if client is not None:
                     await client.close()
                 task.cancel()
                 await asyncio.gather(task, return_exceptions=True)
 
-        fleet, memos, bodies = asyncio.run(scenario())
+        fleet, bodies = asyncio.run(scenario())
         assert fleet.object_ids() == sorted(OBJECT_IDS)
-        assert memos == [0] * NUM_OBJECTS
         points = [TimedPoint(int(t), x, y) for t, x, y in window]
         for (object_id, query_time), body in bodies.items():
             want = multi_fleet.predict(object_id, points, query_time, k=2)
@@ -549,6 +542,21 @@ class TestRouterService:
             assert json.loads(health)["status"] == "degraded"
 
         router_test(multi_fleet, scenario)
+
+    def test_stale_store_keeps_each_first_forwarded_answer(self, multi_fleet):
+        """Second-sighting admission is the workers' answer cache only:
+        the router's stale store keeps a forwarded 200 at once."""
+
+        async def scenario(router, full_service):
+            for object_id in OBJECT_IDS:
+                status, _, _, headers = await router.handle(
+                    "POST", "/predict", predict_body(object_id)
+                )
+                assert status == 200
+                assert headers["X-Cache"] == "miss"
+            return len(router._stale)
+
+        assert router_test(multi_fleet, scenario) == NUM_OBJECTS
 
     def test_unknown_routes_mirror_single_process_statuses(self, multi_fleet):
         async def scenario(router, full_service):
